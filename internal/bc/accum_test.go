@@ -1,19 +1,12 @@
 package bc
 
 import (
-	"math"
 	"testing"
 
 	"graphct/internal/gen"
 	"graphct/internal/graph"
+	"graphct/internal/testutil"
 )
-
-// relEq applies the satellite tolerance: striped and atomic accumulation
-// may round differently (per-stripe partial sums vs one CAS stream), but
-// scores must agree within 1e-9 relative error.
-func relEq(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
-}
 
 func requireScoresClose(t *testing.T, name string, a, b []float64) {
 	t.Helper()
@@ -21,7 +14,7 @@ func requireScoresClose(t *testing.T, name string, a, b []float64) {
 		t.Fatalf("%s: score lengths differ: %d vs %d", name, len(a), len(b))
 	}
 	for v := range a {
-		if !relEq(a[v], b[v]) {
+		if !testutil.AlmostEqual(a[v], b[v]) {
 			t.Fatalf("%s: v=%d striped %v atomic %v", name, v, a[v], b[v])
 		}
 	}
@@ -58,8 +51,9 @@ func TestAccumulationEquivalence(t *testing.T) {
 
 // TestHybridSweepMatchesReference checks the direction-optimized forward
 // sweep against the pure top-down reference on 50 seeded random graphs.
-// The pull-style backward sweep fixes summation order, so the match is
-// exact, not approximate.
+// The pull-style backward sweep fixes the summation order inside a source,
+// but which worker's stripe a source lands in depends on scheduling, so
+// across sources the sums agree to the repository tolerance, not to the bit.
 func TestHybridSweepMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		// Dense enough that middle BFS levels trip the bottom-up
@@ -69,7 +63,7 @@ func TestHybridSweepMatchesReference(t *testing.T) {
 		hyb := Centrality(g, Options{Sweep: SweepAuto}).Scores
 		ref := Centrality(g, Options{Sweep: SweepTopDown}).Scores
 		for v := range ref {
-			if hyb[v] != ref[v] {
+			if !testutil.AlmostEqual(hyb[v], ref[v]) {
 				t.Fatalf("seed %d v=%d: hybrid %v != reference %v", seed, v, hyb[v], ref[v])
 			}
 		}

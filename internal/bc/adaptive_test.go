@@ -16,14 +16,16 @@ import (
 // TestApproxFallbackBitIdentical pins the differential contract: with
 // Adaptive off, ApproxCentralityCtx is a pass-through to CentralityCtx —
 // same floats, same sources, zero Guarantee — for both sampled and
-// exact (samples >= n) configurations.
+// exact (samples >= n) configurations. Concurrency 1 fixes the order
+// sources are summed in; with more workers two runs of CentralityCtx
+// itself differ in the last bit.
 func TestApproxFallbackBitIdentical(t *testing.T) {
 	g := gen.RMAT(gen.PaperRMAT(8, 3))
 	n := g.NumVertices()
 	for _, opt := range []Options{
-		{Samples: 17, Seed: 7},
-		{Samples: n + 5, Seed: 7}, // >= n clamps to exact
-		{Samples: 17, Seed: 9, Strategy: SampleDegreeBiased},
+		{Samples: 17, Seed: 7, Concurrency: 1},
+		{Samples: n + 5, Seed: 7, Concurrency: 1}, // >= n clamps to exact
+		{Samples: 17, Seed: 9, Strategy: SampleDegreeBiased, Concurrency: 1},
 	} {
 		want, err := CentralityCtx(context.Background(), g, opt)
 		if err != nil {

@@ -111,7 +111,7 @@ const (
 	// SweepAuto direction-optimizes each level: top-down push while the
 	// frontier is small, bottom-up pull (frontier-sigma array) when the
 	// frontier's out-edges dominate, per the thresholds shared with
-	// bfs.HybridSearch.
+	// the bfs engine.
 	SweepAuto Sweep = iota
 	// SweepTopDown forces the classic level-synchronous push sweep on
 	// every level — the reference the equivalence tests compare against.

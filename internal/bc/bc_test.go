@@ -1,17 +1,15 @@
 package bc
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"graphct/internal/gen"
 	"graphct/internal/graph"
+	"graphct/internal/testutil"
 )
 
 const eps = 1e-9
-
-func approxEq(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b)) }
 
 // bruteForce computes betweenness by the σ_sv·σ_vt/σ_st formulation over
 // all-pairs BFS — an implementation independent of the Brandes recurrence.
@@ -68,7 +66,7 @@ func TestExactPath(t *testing.T) {
 	r := Exact(g)
 	want := []float64{0, 6, 8, 6, 0}
 	for v, w := range want {
-		if !approxEq(r.Scores[v], w) {
+		if !testutil.AlmostEqual(r.Scores[v], w) {
 			t.Errorf("BC(%d) = %v, want %v", v, r.Scores[v], w)
 		}
 	}
@@ -77,7 +75,7 @@ func TestExactPath(t *testing.T) {
 func TestExactStar(t *testing.T) {
 	g := gen.Star(8)
 	r := Exact(g)
-	if !approxEq(r.Scores[0], 7*6) {
+	if !testutil.AlmostEqual(r.Scores[0], 7*6) {
 		t.Fatalf("center BC = %v, want 42", r.Scores[0])
 	}
 	for v := 1; v < 8; v++ {
@@ -99,7 +97,7 @@ func TestExactCompleteIsZero(t *testing.T) {
 func TestExactRingUniform(t *testing.T) {
 	r := Exact(gen.Ring(9))
 	for v := 1; v < 9; v++ {
-		if !approxEq(r.Scores[v], r.Scores[0]) {
+		if !testutil.AlmostEqual(r.Scores[v], r.Scores[0]) {
 			t.Fatalf("ring BC not uniform: %v vs %v", r.Scores[v], r.Scores[0])
 		}
 	}
@@ -114,7 +112,7 @@ func TestMatchesBruteForce(t *testing.T) {
 		want := bruteForce(g)
 		got := Exact(g).Scores
 		for v := range want {
-			if !approxEq(got[v], want[v]) {
+			if !testutil.AlmostEqual(got[v], want[v]) {
 				t.Logf("seed %d: BC(%d) = %v, want %v", seed, v, got[v], want[v])
 				return false
 			}
@@ -132,7 +130,7 @@ func TestFineGrainedMatchesSequential(t *testing.T) {
 		a := Centrality(g, Options{}).Scores
 		b := Centrality(g, Options{FineGrained: true}).Scores
 		for v := range a {
-			if !approxEq(a[v], b[v]) {
+			if !testutil.AlmostEqual(a[v], b[v]) {
 				return false
 			}
 		}
@@ -156,7 +154,7 @@ func TestKZeroGeneralPathMatchesBrandes(t *testing.T) {
 		}
 		for v := 0; v < n; v++ {
 			got := scores[v]
-			if !approxEq(got, want[v]) {
+			if !testutil.AlmostEqual(got, want[v]) {
 				t.Logf("seed %d v=%d got %v want %v", seed, v, got, want[v])
 				return false
 			}
@@ -264,7 +262,7 @@ func TestKBCMatchesWalkEnumeration(t *testing.T) {
 			want := bruteWalks(g, k)
 			got := Centrality(g, Options{K: k}).Scores
 			for v := range want {
-				if !approxEq(got[v], want[v]) {
+				if !testutil.AlmostEqual(got[v], want[v]) {
 					t.Errorf("graph %d k=%d BC(%d) = %v, want %v", gi, k, v, got[v], want[v])
 				}
 			}
@@ -279,7 +277,7 @@ func TestKBCRandomSmallMatchesWalkEnumeration(t *testing.T) {
 			want := bruteWalks(g, k)
 			got := Centrality(g, Options{K: k}).Scores
 			for v := range want {
-				if !approxEq(got[v], want[v]) {
+				if !testutil.AlmostEqual(got[v], want[v]) {
 					t.Logf("seed %d k=%d v=%d got %v want %v", seed, k, v, got[v], want[v])
 					return false
 				}
@@ -300,14 +298,14 @@ func TestK1EqualsBCOnTrees(t *testing.T) {
 	exact := Exact(g).Scores
 	got := Centrality(g, Options{K: 1}).Scores
 	for v := range exact {
-		if !approxEq(got[v], exact[v]) {
+		if !testutil.AlmostEqual(got[v], exact[v]) {
 			t.Fatalf("k=1 BC(%d) = %v, want %v", v, got[v], exact[v])
 		}
 	}
 	k2 := Centrality(g, Options{K: 2}).Scores
 	want := bruteWalks(g, 2)
 	for v := range want {
-		if !approxEq(k2[v], want[v]) {
+		if !testutil.AlmostEqual(k2[v], want[v]) {
 			t.Fatalf("k=2 tree BC(%d) = %v, want %v", v, k2[v], want[v])
 		}
 	}
@@ -319,7 +317,7 @@ func TestSampledAllSourcesEqualsExact(t *testing.T) {
 	full := Centrality(g, Options{Samples: 40}).Scores
 	over := Centrality(g, Options{Samples: 4000}).Scores
 	for v := range exact {
-		if !approxEq(exact[v], full[v]) || !approxEq(exact[v], over[v]) {
+		if !testutil.AlmostEqual(exact[v], full[v]) || !testutil.AlmostEqual(exact[v], over[v]) {
 			t.Fatalf("100%% sampling differs at %d", v)
 		}
 	}
@@ -341,7 +339,7 @@ func TestSampledScaling(t *testing.T) {
 		}
 	}
 	want := float64(6) / 3 * float64(leaves) * 4
-	if !approxEq(r.Scores[0], want) {
+	if !testutil.AlmostEqual(r.Scores[0], want) {
 		t.Fatalf("sampled center = %v, want %v (leaf sources %d)", r.Scores[0], want, leaves)
 	}
 }
@@ -354,7 +352,7 @@ func TestSampledDeterministicPerSeed(t *testing.T) {
 		// The source SET is seed-deterministic; scores agree up to the
 		// floating-point accumulation order, which varies with the
 		// parallel schedule when GOMAXPROCS > 1.
-		if !approxEq(a.Scores[v], b.Scores[v]) {
+		if !testutil.AlmostEqual(a.Scores[v], b.Scores[v]) {
 			t.Fatal("same seed produced different scores")
 		}
 	}
@@ -402,7 +400,7 @@ func TestDirectedGraphUsesUndirectedProjection(t *testing.T) {
 	a := Exact(d).Scores
 	b := Exact(u).Scores
 	for v := range a {
-		if !approxEq(a[v], b[v]) {
+		if !testutil.AlmostEqual(a[v], b[v]) {
 			t.Fatalf("directed BC differs from undirected projection at %d", v)
 		}
 	}
@@ -412,11 +410,11 @@ func TestDisconnectedComponentsIndependent(t *testing.T) {
 	g := gen.Disjoint(gen.Path(5), gen.Path(5))
 	r := Exact(g)
 	for v := 0; v < 5; v++ {
-		if !approxEq(r.Scores[v], r.Scores[v+5]) {
+		if !testutil.AlmostEqual(r.Scores[v], r.Scores[v+5]) {
 			t.Fatalf("components differ at %d: %v vs %v", v, r.Scores[v], r.Scores[v+5])
 		}
 	}
-	if !approxEq(r.Scores[2], 8) {
+	if !testutil.AlmostEqual(r.Scores[2], 8) {
 		t.Fatalf("mid-path BC = %v, want 8", r.Scores[2])
 	}
 }
@@ -467,7 +465,7 @@ func TestNormalized(t *testing.T) {
 	g := gen.Star(10)
 	r := Exact(g)
 	norm := r.Normalized()
-	if !approxEq(norm[0], 1) { // the hub brokers every pair
+	if !testutil.AlmostEqual(norm[0], 1) { // the hub brokers every pair
 		t.Fatalf("normalized hub = %v, want 1", norm[0])
 	}
 	for v := 1; v < 10; v++ {
@@ -508,7 +506,7 @@ func TestConcurrencyLimitRespected(t *testing.T) {
 	a := Centrality(g, Options{Concurrency: 1}).Scores
 	b := Centrality(g, Options{Concurrency: 8}).Scores
 	for v := range a {
-		if !approxEq(a[v], b[v]) {
+		if !testutil.AlmostEqual(a[v], b[v]) {
 			t.Fatal("concurrency changed results")
 		}
 	}

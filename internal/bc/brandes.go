@@ -90,7 +90,7 @@ func (ws *workspace) reset() {
 // The forward sweep is level-synchronous and direction-optimizing: each
 // level runs top-down (push from the frontier) or bottom-up (every
 // unvisited vertex pulls path counts straight from the frontier-sigma
-// array) by the Beamer thresholds shared with bfs.HybridSearch. On
+// array) by the Beamer thresholds shared with the bfs engine. On
 // scale-free graphs the two or three hub-dominated middle levels hold most
 // of the edges; bottom-up stops those levels from scanning the whole edge
 // list through the frontier.

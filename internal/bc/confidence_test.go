@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphct/internal/gen"
+	"graphct/internal/testutil"
 )
 
 func TestConfidenceFullSamplingIsExact(t *testing.T) {
@@ -14,7 +15,7 @@ func TestConfidenceFullSamplingIsExact(t *testing.T) {
 	exact := Exact(g).Scores
 	c := EstimateWithConfidence(g, Options{Samples: 0}, 3, 10)
 	for v := range exact {
-		if !approxEq(c.Mean[v], exact[v]) {
+		if !testutil.AlmostEqual(c.Mean[v], exact[v]) {
 			t.Fatalf("mean differs at %d: %v vs %v", v, c.Mean[v], exact[v])
 		}
 		if c.Std[v] > 1e-9 {
@@ -84,7 +85,7 @@ func TestConfidenceRealizationFloor(t *testing.T) {
 }
 
 func TestJaccardHelpers(t *testing.T) {
-	if j := jaccard([]int32{1, 2}, []int32{2, 3}); !approxEq(j, 1.0/3) {
+	if j := jaccard([]int32{1, 2}, []int32{2, 3}); !testutil.AlmostEqual(j, 1.0/3) {
 		t.Fatalf("jaccard = %v", j)
 	}
 	if jaccard(nil, nil) != 1 {

@@ -8,6 +8,7 @@ import (
 
 	"graphct/internal/gen"
 	"graphct/internal/graph"
+	"graphct/internal/testutil"
 )
 
 // bruteDirected computes directed BC by the σ formulation over directed
@@ -67,7 +68,7 @@ func TestDirectedChain(t *testing.T) {
 	r := DirectedCentrality(g, DirectedOptions{})
 	want := []float64{0, 2, 2, 0}
 	for v, w := range want {
-		if !approxEq(r.Scores[v], w) {
+		if !testutil.AlmostEqual(r.Scores[v], w) {
 			t.Fatalf("BC(%d) = %v, want %v", v, r.Scores[v], w)
 		}
 	}
@@ -80,13 +81,13 @@ func TestDirectedVsUndirectedDiffer(t *testing.T) {
 	d, _ := graph.FromEdges(5, edges, graph.Options{Directed: true})
 	dir := DirectedCentrality(d, DirectedOptions{})
 	und := Exact(d)
-	if approxEq(dir.Scores[0], und.Scores[0]) {
+	if testutil.AlmostEqual(dir.Scores[0], und.Scores[0]) {
 		t.Fatalf("directed (%v) and undirected (%v) should differ on a cycle",
 			dir.Scores[0], und.Scores[0])
 	}
 	// Directed 5-cycle: each pair (s,t), s != t has exactly one path;
 	// interior vertices per pair = dist-1; per vertex total = 0+1+2+3 = 6.
-	if !approxEq(dir.Scores[0], 6) {
+	if !testutil.AlmostEqual(dir.Scores[0], 6) {
 		t.Fatalf("directed cycle BC = %v, want 6", dir.Scores[0])
 	}
 }
@@ -105,7 +106,7 @@ func TestDirectedMatchesBrute(t *testing.T) {
 		want := bruteDirected(g)
 		got := DirectedCentrality(g, DirectedOptions{}).Scores
 		for v := range want {
-			if !approxEq(got[v], want[v]) {
+			if !testutil.AlmostEqual(got[v], want[v]) {
 				return false
 			}
 		}
@@ -121,7 +122,7 @@ func TestDirectedUndirectedInputFallsBack(t *testing.T) {
 	a := DirectedCentrality(g, DirectedOptions{}).Scores
 	b := Exact(g).Scores
 	for v := range a {
-		if !approxEq(a[v], b[v]) {
+		if !testutil.AlmostEqual(a[v], b[v]) {
 			t.Fatal("undirected fallback differs from Centrality")
 		}
 	}
@@ -133,7 +134,7 @@ func TestDirectedSampled(t *testing.T) {
 	full := DirectedCentrality(g, DirectedOptions{Samples: 4}).Scores
 	exact := DirectedCentrality(g, DirectedOptions{}).Scores
 	for v := range exact {
-		if !approxEq(full[v], exact[v]) {
+		if !testutil.AlmostEqual(full[v], exact[v]) {
 			t.Fatal("full sampling differs from exact")
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"graphct/internal/cc"
 	"graphct/internal/gen"
+	"graphct/internal/testutil"
 )
 
 func TestStratifiedCoversComponents(t *testing.T) {
@@ -93,7 +94,7 @@ func TestStratifiedScoresStillEstimate(t *testing.T) {
 	for _, st := range []Sampling{SampleStratified, SampleDegreeBiased} {
 		full := Centrality(g, Options{Samples: 40, Strategy: st}).Scores
 		for v := range exact {
-			if !approxEq(exact[v], full[v]) {
+			if !testutil.AlmostEqual(exact[v], full[v]) {
 				t.Fatalf("strategy %d full sampling differs at %d", st, v)
 			}
 		}

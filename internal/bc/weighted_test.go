@@ -7,6 +7,7 @@ import (
 
 	"graphct/internal/gen"
 	"graphct/internal/graph"
+	"graphct/internal/testutil"
 )
 
 // bruteWeighted enumerates all simple paths between every pair on a tiny
@@ -87,7 +88,7 @@ func TestWeightedShortcutChangesRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approxEq(r.Scores[1], 2) {
+	if !testutil.AlmostEqual(r.Scores[1], 2) {
 		t.Fatalf("BC(1) = %v, want 2", r.Scores[1])
 	}
 	// Unweighted, the triangle has no interior vertices at all.
@@ -121,7 +122,7 @@ func TestWeightedUnitEqualsUnweighted(t *testing.T) {
 		}
 		pr := Exact(pg)
 		for v := range pr.Scores {
-			if !approxEq(wr.Scores[v], pr.Scores[v]) {
+			if !testutil.AlmostEqual(wr.Scores[v], pr.Scores[v]) {
 				return false
 			}
 		}
@@ -151,7 +152,7 @@ func TestWeightedMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		for v := range want {
-			if !approxEq(got.Scores[v], want[v]) {
+			if !testutil.AlmostEqual(got.Scores[v], want[v]) {
 				t.Logf("seed=%d v=%d got %v want %v", seed, v, got.Scores[v], want[v])
 				return false
 			}
@@ -181,7 +182,7 @@ func TestWeightedSampledFullEqualsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range exact.Scores {
-		if !approxEq(exact.Scores[v], full.Scores[v]) {
+		if !testutil.AlmostEqual(exact.Scores[v], full.Scores[v]) {
 			t.Fatalf("full sampling differs at %d", v)
 		}
 	}
@@ -211,7 +212,7 @@ func TestWeightedUnweightedGraphDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approxEq(r.Scores[0], 9*8) {
+	if !testutil.AlmostEqual(r.Scores[0], 9*8) {
 		t.Fatalf("delegated hub = %v", r.Scores[0])
 	}
 }

@@ -163,7 +163,7 @@ func TestEccentricity(t *testing.T) {
 }
 
 // Reference sequential BFS for cross-checking.
-func seqLevels(g CSRGraph, src int32) []int32 {
+func seqLevels(g *graph.Graph, src int32) []int32 {
 	n := g.NumVertices()
 	level := make([]int32, n)
 	for i := range level {
@@ -232,13 +232,5 @@ func TestPropertyLevelLipschitz(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSearchRMAT14(b *testing.B) {
-	g := gen.RMAT(gen.PaperRMAT(14, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Search(g, int32(i%g.NumVertices()))
 	}
 }

@@ -300,6 +300,13 @@ func (t *Toolkit) BFS(src int32, depth int) *bfs.Result {
 	return bfs.SearchBounded(t.g, src, depth)
 }
 
+// BFSSummary runs the same search as BFS for callers that report only how
+// many vertices were reached and how deep: no levels, parents or order are
+// materialised.
+func (t *Toolkit) BFSSummary(src int32, depth int) bfs.Summary {
+	return bfs.Summarize(t.g, src, depth)
+}
+
 // SSSP computes weighted single-source shortest paths from src via
 // parallel delta-stepping (heuristic bucket width). Unweighted graphs get
 // unit weights.

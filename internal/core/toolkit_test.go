@@ -193,6 +193,12 @@ func TestBFSBounded(t *testing.T) {
 	if full.NumReached() != 10 {
 		t.Fatal("unbounded BFS incomplete")
 	}
+	for _, depth := range []int{-1, 0, 4, 20} {
+		r, s := tk.BFS(3, depth), tk.BFSSummary(3, depth)
+		if s.Reached != r.NumReached() || s.Depth != r.Depth {
+			t.Fatalf("depth %d: summary %+v, search reached %d depth %d", depth, s, r.NumReached(), r.Depth)
+		}
+	}
 }
 
 func TestDegreeStatsAndHistogram(t *testing.T) {

@@ -9,7 +9,6 @@ package graph_test
 // float summation order legitimately shifts).
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -21,15 +20,8 @@ import (
 	"graphct/internal/kcore"
 	"graphct/internal/sssp"
 	"graphct/internal/stats"
+	"graphct/internal/testutil"
 )
-
-const relTol = 1e-9
-
-func closeRel(a, b float64) bool {
-	d := math.Abs(a - b)
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return d <= relTol*scale
-}
 
 // equivGraph alternates the paper's R-MAT shape with uniform random
 // graphs so the property is not an artifact of one degree distribution.
@@ -76,7 +68,7 @@ func TestPermutationEquivalence(t *testing.T) {
 			// Betweenness: exact run, scores permute (1e-9 rel float).
 			got := bc.Centrality(rg, bc.Options{}).Scores
 			for old := 0; old < n; old++ {
-				if !closeRel(refBC[old], got[perm[old]]) {
+				if !testutil.AlmostEqual(refBC[old], got[perm[old]]) {
 					t.Fatalf("seed %d %v: bc[%d] = %g, relabeled %g", seed, kind, old, refBC[old], got[perm[old]])
 				}
 			}
@@ -137,10 +129,10 @@ func TestPermutationEquivalence(t *testing.T) {
 			// Degree statistics: the multiset of degrees is invariant.
 			rdeg := stats.Degrees(rg)
 			if rdeg.N != refDeg.N || rdeg.Min != refDeg.Min || rdeg.Max != refDeg.Max ||
-				!closeRel(rdeg.Mean, refDeg.Mean) || !closeRel(rdeg.Variance, refDeg.Variance) {
+				!testutil.AlmostEqual(rdeg.Mean, refDeg.Mean) || !testutil.AlmostEqual(rdeg.Variance, refDeg.Variance) {
 				t.Fatalf("seed %d %v: degree stats %+v vs %+v", seed, kind, rdeg, refDeg)
 			}
-			if rgini := stats.GiniCoefficient(rg); !closeRel(rgini, refGini) {
+			if rgini := stats.GiniCoefficient(rg); !testutil.AlmostEqual(rgini, refGini) {
 				t.Fatalf("seed %d %v: gini %g vs %g", seed, kind, rgini, refGini)
 			}
 		}
@@ -159,7 +151,7 @@ func TestPermutationEquivalenceKBC(t *testing.T) {
 			rg, perm := applyReorder(t, g, graph.ReorderDegree)
 			got := bc.Centrality(rg, bc.Options{K: k}).Scores
 			for old := 0; old < n; old++ {
-				if !closeRel(ref[old], got[perm[old]]) {
+				if !testutil.AlmostEqual(ref[old], got[perm[old]]) {
 					t.Fatalf("seed %d k=%d: kbc[%d] = %g, relabeled %g", seed, k, old, ref[old], got[perm[old]])
 				}
 			}
@@ -205,8 +197,9 @@ func TestPermutationEquivalenceWeighted(t *testing.T) {
 
 // TestCompactKernelEquivalence pins the compact representation's "same
 // function, smaller bytes" contract across kernels: integer results are
-// identical and betweenness is bit-identical, because kernels traverse
-// identical neighbor sequences either way.
+// identical, because kernels traverse identical neighbor sequences either
+// way; betweenness agrees to the repository tolerance (each source's
+// contribution is the same, the order workers sum them in is not).
 func TestCompactKernelEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		g := equivGraph(seed)
@@ -216,7 +209,7 @@ func TestCompactKernelEquivalence(t *testing.T) {
 		raw := bc.Centrality(g, bc.Options{Samples: 32, Seed: seed}).Scores
 		comp := bc.Centrality(c, bc.Options{Samples: 32, Seed: seed}).Scores
 		for v := 0; v < n; v++ {
-			if raw[v] != comp[v] {
+			if !testutil.AlmostEqual(raw[v], comp[v]) {
 				t.Fatalf("seed %d: bc[%d] = %v raw, %v compact", seed, v, raw[v], comp[v])
 			}
 		}

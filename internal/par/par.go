@@ -138,8 +138,14 @@ func ForGuided(n, minChunk int, body func(lo, hi int)) {
 // the escape hatch for kernels that keep per-worker scratch (e.g. frontier
 // buffers) and partition work themselves.
 func ForEachWorker(body func(worker, workers int)) {
-	workers := Workers()
-	if workers == 1 {
+	ForWorkers(Workers(), body)
+}
+
+// ForWorkers is ForEachWorker over a worker count the caller fixed
+// beforehand, for kernels that size their per-worker scratch once and must
+// not see a different count if GOMAXPROCS changes under them.
+func ForWorkers(workers int, body func(worker, workers int)) {
+	if workers <= 1 {
 		body(0, 1)
 		return
 	}

@@ -572,8 +572,8 @@ func (in *Interp) cmdBFS(args []string) error {
 	if err != nil {
 		return parseErrf("bad depth %q", args[1])
 	}
-	r := in.tk.BFS(int32(src), depth)
-	fmt.Fprintf(in.out, "bfs from %d: reached %d vertices, depth %d\n", src, r.NumReached(), r.Depth)
+	r := in.tk.BFSSummary(int32(src), depth)
+	fmt.Fprintf(in.out, "bfs from %d: reached %d vertices, depth %d\n", src, r.Reached, r.Depth)
 	return nil
 }
 

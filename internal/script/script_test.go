@@ -161,6 +161,8 @@ func TestKCoresClusteringBFS(t *testing.T) {
 clustering
 kcores 3
 bfs 0 1
+bfs 0 0
+bfs 0 -1
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +173,16 @@ bfs 0 1
 	if !strings.Contains(out, "3-core: 4 vertices, 6 edges") {
 		t.Fatalf("kcores missing: %s", out)
 	}
-	if !strings.Contains(out, "bfs from 0: reached 4 vertices, depth 1") {
-		t.Fatalf("bfs missing: %s", out)
+	for _, want := range []string{
+		"bfs from 0: reached 4 vertices, depth 1\n",
+		"bfs from 0: reached 1 vertices, depth 0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("%q missing: %s", want, out)
+		}
+	}
+	if strings.Count(out, "bfs from 0: reached 4 vertices, depth 1\n") != 2 {
+		t.Fatalf("unbounded bfs differs from depth 1 on a clique: %s", out)
 	}
 }
 

@@ -164,8 +164,8 @@ func (s *Server) parseKernel(kernel string, e *GraphEntry, q url.Values) (string
 		}
 		return fmt.Sprintf("depth=%d&src=%d", depth, src), func(ctx context.Context) (any, error) {
 			// src is the client's id; the kernel runs on internal labels.
-			res := tk().BFS(e.ToInternal(src), depth)
-			return map[string]any{"src": src, "reached": res.NumReached(), "depth": res.Depth}, nil
+			res := tk().BFSSummary(e.ToInternal(src), depth)
+			return map[string]any{"src": src, "reached": res.Reached, "depth": res.Depth}, nil
 		}, nil
 	case "sssp":
 		src, err := vertexParam(q, "src", g.NumVertices())

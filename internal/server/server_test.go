@@ -566,3 +566,40 @@ func TestConcurrentRequestsShareOneSymmetrization(t *testing.T) {
 		t.Fatal("registry entry and graph disagree on the undirected view")
 	}
 }
+
+// TestBFSEndpointContract pins what /bfs shows its clients, whichever
+// search entry point is behind it: the JSON body, the cache key (an
+// omitted depth and depth=-1 are one entry), depth=0 reaching only the
+// source, and a directed graph searched along its out-arcs.
+func TestBFSEndpointContract(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{}, gen.Disjoint(gen.Complete(4), gen.Path(3)))
+	for _, tc := range []struct {
+		query, body, source string
+	}{
+		{"src=0", `{"depth":1,"reached":4,"src":0}`, "computed"},
+		{"depth=-1&src=0", `{"depth":1,"reached":4,"src":0}`, "cache"},
+		{"src=4&depth=1", `{"depth":1,"reached":2,"src":4}`, "computed"},
+		{"src=4&depth=0", `{"depth":0,"reached":1,"src":4}`, "computed"},
+		{"src=4&depth=9", `{"depth":2,"reached":3,"src":4}`, "computed"},
+	} {
+		status, hdr, body := get(t, ts.URL+"/graphs/g/bfs?"+tc.query)
+		if status != http.StatusOK || string(bytes.TrimSpace(body)) != tc.body || hdr.Get("X-Graphct-Source") != tc.source {
+			t.Errorf("bfs?%s: %d %q from %q, want 200 %q from %q",
+				tc.query, status, body, hdr.Get("X-Graphct-Source"), tc.body, tc.source)
+		}
+	}
+
+	chain, err := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, graph.Options{Directed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dts, _ := newTestServer(t, Config{}, chain)
+	for query, want := range map[string]string{
+		"src=0": `{"depth":2,"reached":3,"src":0}`,
+		"src=2": `{"depth":0,"reached":1,"src":2}`, // no arc leaves the tail
+	} {
+		if _, _, body := get(t, dts.URL+"/graphs/g/bfs?"+query); string(bytes.TrimSpace(body)) != want {
+			t.Errorf("directed bfs?%s: %q, want %q", query, body, want)
+		}
+	}
+}

@@ -216,27 +216,23 @@ type DiameterEstimate struct {
 // runs a BFS per vertex — use only where n is modest; the sampled
 // estimator exists because this is infeasible at the paper's scales.
 func ExactDiameter(g *graph.Graph) int {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
+	srcs := make([]int32, g.NumVertices())
+	for v := range srcs {
+		srcs[v] = int32(v)
 	}
-	ecc := make([]int, n)
-	grp := par.NewGroup(0)
-	for v := 0; v < n; v++ {
-		v := v
-		grp.Go(func() error {
-			ecc[v] = bfs.Search(g, int32(v)).Depth
-			return nil
-		})
-	}
-	grp.Wait()
-	max := 0
-	for _, e := range ecc {
-		if e > max {
-			max = e
+	// The background context never cancels, so the error is impossible.
+	ecc, _ := bfs.Eccentricities(context.Background(), g, srcs)
+	return maxOf(ecc)
+}
+
+func maxOf(xs []int) int {
+	m := 0
+	for _, x := range xs {
+		if x > m {
+			m = x
 		}
 	}
-	return max
+	return m
 }
 
 // EstimateDiameter reproduces GraphCT's load-time estimator: BFS from
@@ -274,32 +270,10 @@ func EstimateDiameterCtx(ctx context.Context, g *graph.Graph, samples, multiplie
 	for i := range srcs {
 		srcs[i] = int32(perm[i])
 	}
-	depths := make([]int, samples)
-	grp := par.NewGroup(0)
-	for i, s := range srcs {
-		if ctx.Err() != nil {
-			break // stop scheduling; in-flight searches finish
-		}
-		i, s := i, s
-		grp.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			depths[i] = bfs.Search(g, s).Depth
-			return nil
-		})
-	}
-	if err := grp.Wait(); err != nil {
+	depths, err := bfs.Eccentricities(ctx, g, srcs)
+	if err != nil {
 		return DiameterEstimate{}, err
 	}
-	if err := ctx.Err(); err != nil {
-		return DiameterEstimate{}, err
-	}
-	longest := 0
-	for _, d := range depths {
-		if d > longest {
-			longest = d
-		}
-	}
+	longest := maxOf(depths)
 	return DiameterEstimate{Estimate: multiplier * longest, LongestPath: longest, Sources: samples}, nil
 }
