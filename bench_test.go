@@ -141,24 +141,6 @@ func BenchmarkCentrality(b *testing.B) {
 	b.ReportMetric(edges/b.Elapsed().Seconds(), "edges/s")
 }
 
-// Ablation: coarse source-level parallelism vs added fine-grained
-// within-source parallelism (DESIGN.md §5).
-func BenchmarkAblationParallelismCoarse(b *testing.B) {
-	g := gen.RMAT(gen.PaperRMAT(12, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bc.Centrality(g, bc.Options{Samples: 64, Seed: 1})
-	}
-}
-
-func BenchmarkAblationParallelismFine(b *testing.B) {
-	g := gen.RMAT(gen.PaperRMAT(12, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bc.Centrality(g, bc.Options{Samples: 64, Seed: 1, FineGrained: true})
-	}
-}
-
 // Ablation: deduplicated adjacency (the paper discards duplicate
 // interactions) vs raw multigraph traversal cost.
 func BenchmarkAblationDedup(b *testing.B) {
@@ -216,28 +198,14 @@ func BenchmarkAblationSampling(b *testing.B) {
 	}
 }
 
-// Ablation: hook-and-jump components vs the paper's literal multi-source
-// BFS coloring.
-func BenchmarkAblationComponents(b *testing.B) {
-	g := gen.RMAT(gen.PaperRMAT(13, 1))
-	b.Run("hook-jump", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cc.Components(g)
-		}
-	})
-	b.Run("multi-bfs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cc.ComponentsBFS(g)
-		}
-	})
-}
-
 // Directed-flow betweenness on a follower network (paper future work).
 func BenchmarkDirectedBCFollower(b *testing.B) {
 	g := gen.Follower(gen.DefaultFollower(4000, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bc.DirectedCentrality(g, bc.DirectedOptions{Samples: 128, Seed: int64(i)})
+		if _, err := bc.DirectedCentrality(g, bc.Options{Samples: 128, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

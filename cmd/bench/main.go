@@ -5,28 +5,24 @@
 // GOMAXPROCS. Re-running it on the same hardware reproduces the numbers
 // a PR quotes; each perf PR appends its own BENCH_PRn.json and compares.
 //
-// The configuration matrix is the memory-layout ablation: each row adds
-// one layout optimization on top of the previous, so the report isolates
-// what every step buys:
+// The configuration matrix is the memory-layout ablation, the shipped
+// default last:
 //
-//	baseline                 generator vertex order, raw CSR, heap scratch
-//	reorder                  relabeled for locality (-reorder), raw CSR
-//	reorder+compact          + delta-varint compressed adjacency (forced)
-//	reorder+compact+arena    + arena-backed Brandes scratch
-//	reorder+arena (default)  what -reorder degree -compact auto serves:
-//	                         the auto policy only compacts when the raw
-//	                         adjacency exceeds the memory budget, so at
-//	                         bench scales the default stack is relabeled
-//	                         raw CSR with arena scratch
+//	baseline           generator vertex order, raw CSR
+//	reorder+compact    relabeled for locality (-reorder) + delta-varint
+//	                   compressed adjacency (forced)
+//	reorder (default)  what -reorder degree -compact auto serves: the auto
+//	                   policy only compacts when the raw adjacency exceeds
+//	                   the memory budget, so at bench scales the default
+//	                   stack is relabeled raw CSR
 //
-// The forced-compact rows quantify the capacity trade (adjacency bytes
+// The forced-compact row quantifies the capacity trade (adjacency bytes
 // roughly halve; throughput pays the per-edge varint decode), and the
 // aggregate speedup the report headlines is the shipped default against
-// the baseline. All rows run the PR-4 kernel defaults (striped
-// accumulation, hybrid direction-optimizing sweeps); the ablation varies
-// memory layout only. edges/sec counts NumArcs() once per source per
-// iteration — the same convention as BenchmarkCentrality in
-// bench_test.go, so the two report comparable throughput.
+// the baseline. The ablation varies memory layout only. edges/sec counts
+// NumArcs() once per source per iteration — the same convention as
+// BenchmarkCentrality in bench_test.go, so the two report comparable
+// throughput.
 //
 // -guard FILE runs only the full configuration and exits nonzero when
 // its BC throughput falls below 80% of the committed report's, which is
@@ -206,22 +202,19 @@ func main() {
 	}
 
 	steps := []struct {
-		layout  string
-		g       *graph.Graph
-		scratch bc.Scratch
+		layout string
+		g      *graph.Graph
 	}{
-		{"baseline", raw, bc.ScratchHeap},
-		{"reorder", reordered, bc.ScratchHeap},
+		{"baseline", raw},
 		// Forced compression quantifies the capacity trade: adjacency bytes
 		// roughly halve, throughput pays the per-edge decode. The auto
 		// policy takes this trade only when the raw adjacency exceeds the
 		// memory budget, which is why the shipped default below stays raw
 		// at bench scales.
-		{"reorder+compact", compact, bc.ScratchHeap},
-		{"reorder+compact+arena", compact, bc.ScratchAuto},
+		{"reorder+compact", compact},
 		// What -reorder degree -compact auto actually serves at this
-		// working-set size: relabeled raw CSR with arena scratch.
-		{"reorder+arena (default)", reordered, bc.ScratchAuto},
+		// working-set size: relabeled raw CSR.
+		{defaultLayout, reordered},
 	}
 	if *guard != "" {
 		steps = steps[len(steps)-1:] // full configuration only
@@ -239,8 +232,8 @@ func main() {
 		steps = kept
 	}
 	for _, st := range steps {
-		g, scratch := st.g, st.scratch
-		opt := bc.Options{Samples: *samples, Seed: *seed, Scratch: scratch}
+		g := st.g
+		opt := bc.Options{Samples: *samples, Seed: *seed}
 		rep.Results = append(rep.Results, run("centrality", st.layout, g, arcs, int64(*samples), func() {
 			bc.Centrality(g, opt)
 		}))
@@ -254,19 +247,16 @@ func main() {
 	}
 	rep.AggregateSpeedup = rep.Results[len(rep.Results)-1].EdgesPerSec / rep.Results[0].EdgesPerSec
 	if *k > 0 {
-		// k-betweenness is where scratch churn dominated pre-arena; bench
-		// it at both ablation endpoints so the GC-pressure claim is
-		// auditable.
+		// k-betweenness at both ablation endpoints.
 		for _, st := range []struct {
-			layout  string
-			g       *graph.Graph
-			scratch bc.Scratch
+			layout string
+			g      *graph.Graph
 		}{
-			{"baseline", raw, bc.ScratchHeap},
-			{"reorder+arena (default)", reordered, bc.ScratchAuto},
+			{"baseline", raw},
+			{defaultLayout, reordered},
 		} {
 			g := st.g
-			opt := bc.Options{K: *k, Samples: *samples, Seed: *seed, Scratch: st.scratch}
+			opt := bc.Options{K: *k, Samples: *samples, Seed: *seed}
 			rep.Results = append(rep.Results, run(fmt.Sprintf("kcentrality/k=%d", *k), st.layout, g, arcs, int64(*samples), func() {
 				bc.Centrality(g, opt)
 			}))
@@ -341,7 +331,7 @@ func runGuard(path string, measured result) {
 	}
 	var want float64
 	for _, r := range committed.Results {
-		if strings.HasPrefix(r.Kernel, "centrality") && strings.HasPrefix(r.Layout, "reorder+arena") {
+		if strings.HasPrefix(r.Kernel, "centrality") && strings.HasSuffix(r.Layout, "(default)") {
 			want = r.EdgesPerSec
 		}
 	}
@@ -391,6 +381,12 @@ func run(kernel, layout string, g *graph.Graph, arcs, sources int64, fn func()) 
 // benchReps is the -reps flag: repetitions per row, fastest reported.
 var benchReps = 1
 
+// defaultLayout labels the row measured on the shipped default layout. The
+// guard finds the committed report's row by the "(default)" suffix, which
+// also matches BENCH_PR7.json's "reorder+arena (default)": that report
+// predates the removal of the arena scratch allocator.
+const defaultLayout = "reorder (default)"
+
 // runApprox measures the adaptive approximate-BC ablation: one full exact
 // run and benchReps adaptive runs on the default layout. The exact row is
 // timed directly rather than through testing.Benchmark — at the committed
@@ -405,11 +401,11 @@ var benchReps = 1
 func runApprox(rep *report, g *graph.Graph, arcs int64, eps, delta float64, seed int64, outPath, guardPath string) {
 	n := g.NumVertices()
 	exactWork := float64(arcs) * float64(n)
-	layout := "reorder+arena (default)"
+	layout := defaultLayout
 
 	fmt.Fprintf(os.Stderr, "%-36s %-22s ", "centrality/exact", layout)
 	t0 := time.Now()
-	bc.Centrality(g, bc.Options{Seed: seed, Scratch: bc.ScratchAuto})
+	bc.Centrality(g, bc.Options{Seed: seed})
 	exactNs := time.Since(t0).Nanoseconds()
 	exactEPS := exactWork / (float64(exactNs) * 1e-9)
 	fmt.Fprintf(os.Stderr, "%14d ns/op %14.0f edges/s\n", exactNs, exactEPS)
@@ -420,7 +416,7 @@ func runApprox(rep *report, g *graph.Graph, arcs int64, eps, delta float64, seed
 	})
 
 	approxKernel := fmt.Sprintf("centrality/approx(eps=%g,delta=%g)", eps, delta)
-	opt := bc.Options{Adaptive: true, Epsilon: eps, Delta: delta, Seed: seed}
+	opt := bc.ApproxOptions{Epsilon: eps, Delta: delta, Seed: seed}
 	fmt.Fprintf(os.Stderr, "%-36s %-22s ", approxKernel, layout)
 	var approxNs int64
 	var ar *bc.ApproxResult

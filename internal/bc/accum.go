@@ -1,115 +1,26 @@
 package bc
 
-import "graphct/internal/par"
+// sourceKernel runs one source's sweeps and adds its dependency
+// contributions to sink. A kernel owns whatever scratch it needs, so one
+// kernel serves one source at a time.
+type sourceKernel func(s int32, sink scoreSink)
 
-// Accumulation selects how per-source dependency contributions are merged
-// into the shared score array.
-type Accumulation int
-
-const (
-	// AccumAuto picks AccumStriped when the stripe arrays fit the memory
-	// budget (Options.StripeBudget) and AccumAtomic otherwise, so small
-	// and medium graphs get contention-free accumulation while huge
-	// graphs keep the O(n) extra-space guarantee.
-	AccumAuto Accumulation = iota
-	// AccumStriped gives every in-flight source computation a private
-	// []float64 score stripe and merges the stripes once at the end with
-	// a parallel tree reduction. No synchronization on the hot path; the
-	// cost is one stripe of n float64 per concurrency slot.
-	AccumStriped
-	// AccumAtomic accumulates into one shared array with an atomic
-	// float64 CAS loop per update — the XMT idiom the port started with.
-	// O(n) extra space regardless of concurrency, but scale-free hubs
-	// turn a handful of cache lines white-hot under contention.
-	AccumAtomic
-)
-
-// DefaultStripeBudget is the stripe memory AccumAuto allows before falling
-// back to atomic accumulation: slots × n × 8 bytes must fit. 256 MiB
-// covers ~4M vertices at 8 concurrency slots.
-const DefaultStripeBudget int64 = 256 << 20
-
-// accumulator owns the score state for one Centrality run. Exactly one of
-// stripes/shared is non-nil.
-type accumulator struct {
-	n       int
-	scale   float64
-	stripes [][]float64 // striped: one private array per concurrency slot
-	free    chan int    // striped: free-list of stripe indices
-	shared  []uint64    // atomic: float64 bits, CAS-accumulated
+// slot is what one in-flight source owns: a private score stripe and a
+// kernel with its scratch. The kernel is built by the first source that
+// draws the slot, so the scratch is first touched on a worker.
+type slot struct {
+	sink   scoreSink
+	kernel sourceKernel
 }
 
-// newAccumulator sizes score storage for n vertices and at most slots
-// concurrent sources, resolving AccumAuto against the budget.
-func newAccumulator(n, slots int, mode Accumulation, budget int64, scale float64) *accumulator {
-	if budget <= 0 {
-		budget = DefaultStripeBudget
-	}
-	if mode == AccumAuto {
-		if int64(slots)*int64(n)*8 <= budget {
-			mode = AccumStriped
-		} else {
-			mode = AccumAtomic
-		}
-	}
-	a := &accumulator{n: n, scale: scale}
-	if mode == AccumStriped {
-		a.stripes = make([][]float64, slots)
-		a.free = make(chan int, slots)
-		for i := range a.stripes {
-			a.stripes[i] = make([]float64, n)
-			a.free <- i
-		}
-	} else {
-		a.shared = make([]uint64, n)
-	}
-	return a
-}
-
-// striped reports which path the accumulator resolved to (tests and the
-// benchmark harness record it).
-func (a *accumulator) striped() bool { return a.stripes != nil }
-
-// acquire hands a source computation its score sink; release must be
-// called when the source finishes so the stripe returns to the free list.
-// In atomic mode every source shares the CAS-accumulated array and release
-// is a no-op.
-func (a *accumulator) acquire() (sink scoreSink, release func()) {
-	if a.stripes == nil {
-		return scoreSink{shared: a.shared, scale: a.scale}, func() {}
-	}
-	i := <-a.free
-	return scoreSink{local: a.stripes[i], scale: a.scale}, func() { a.free <- i }
-}
-
-// merge produces the final score array: a parallel tree reduction over the
-// stripes, or an atomic drain of the shared array. The accumulator must
-// not be used afterwards (the fold consumes the stripes).
-func (a *accumulator) merge() []float64 {
-	out := make([]float64, a.n)
-	if a.stripes != nil {
-		par.SumSlices(out, a.stripes)
-		return out
-	}
-	par.For(a.n, func(v int) { out[v] = par.LoadFloat64(&a.shared[v]) })
-	return out
-}
-
-// scoreSink is the accumulation target a single source computation writes
-// its scaled dependency contributions into. Striped sinks are exclusive to
-// one in-flight source, so plain adds suffice even when the source's own
-// sweeps run fine-grained parallel loops (each vertex's entry is written
-// by exactly one iteration). Atomic sinks go through the float64 CAS loop.
+// scoreSink is the accumulation target of one in-flight source: its
+// slot's stripe, which no other source writes until the slot is returned,
+// so plain adds suffice.
 type scoreSink struct {
-	local  []float64
-	shared []uint64
-	scale  float64
+	local []float64
+	scale float64
 }
 
 func (sk scoreSink) add(v int32, x float64) {
-	if sk.local != nil {
-		sk.local[v] += sk.scale * x
-		return
-	}
-	par.AddFloat64(&sk.shared[v], sk.scale*x)
+	sk.local[v] += sk.scale * x
 }

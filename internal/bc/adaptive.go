@@ -13,8 +13,7 @@ import (
 // This file implements adaptive approximate betweenness centrality with an
 // a-priori (ε,δ) absolute-error guarantee — the KADABRA shape from the
 // NetworKit toolkit line of work, in contrast to the fixed-k source
-// sampling above, whose only error statement is the empirical stability
-// estimate in confidence.go.
+// sampling of Centrality, which makes no error statement.
 //
 // Estimator. One sample draws an ordered vertex pair (s,t) uniformly at
 // random, samples one shortest s→t path uniformly among all shortest s→t
@@ -48,7 +47,7 @@ import (
 // worst case) — where L = ln(3/δ′), H = ln(2/δ′) and δ′ =
 // δ/(adaptiveMaxRounds·n) union-bounds the failure budget over every
 // (round, vertex) check the run can make. The run stops when rad(v) ≤ ε
-// for all v (or, with AdaptiveTopK, for every vertex that could still
+// for all v (or, with TopK, for every vertex that could still
 // belong to the top-k set). Because tMax = ⌈H/(2ε²)⌉ makes the Hoeffding
 // radius ≤ ε, the cap forces termination after O(log tMax) rounds, so
 // with probability ≥ 1−δ every score satisfies |Scores[v]/(n(n-1)) −
@@ -58,11 +57,11 @@ import (
 
 const (
 	// DefaultEpsilon is the absolute-error bound used when
-	// Options.Epsilon is zero with Adaptive set: scores normalized to
-	// [0,1] are within 0.01 of exact.
+	// ApproxOptions.Epsilon is zero: scores normalized to [0,1] are
+	// within 0.01 of exact.
 	DefaultEpsilon = 0.01
-	// DefaultDelta is the failure probability used when Options.Delta is
-	// zero with Adaptive set.
+	// DefaultDelta is the failure probability used when
+	// ApproxOptions.Delta is zero.
 	DefaultDelta = 0.1
 	// adaptiveFirstRound is the sample count of the first round; each
 	// later round doubles the cumulative total (capped at tMax).
@@ -77,7 +76,7 @@ const (
 // Guarantee states the probabilistic error contract of an adaptive run:
 // with probability at least 1−Delta, every vertex's normalized score
 // (Scores[v] / (n·(n-1))) is within Epsilon of the exact value. Under
-// AdaptiveTopK the per-vertex claim is restricted to vertices that could
+// TopK the per-vertex claim is restricted to vertices that could
 // belong to the true top-k set; every other vertex is certified (to the
 // same confidence) not to belong to it.
 type Guarantee struct {
@@ -89,25 +88,41 @@ type Guarantee struct {
 	Rounds int `json:"rounds"`
 	// Stopped reports whether the adaptive rule ended the run before the
 	// worst-case Hoeffding cap tMax; false means the run paid the full
-	// a-priori budget (the guarantee holds either way). Non-adaptive
-	// fallback results leave the whole Guarantee zero.
+	// a-priori budget (the guarantee holds either way).
 	Stopped bool `json:"stopped"`
 }
 
 // ApproxResult is an approximate centrality result plus its guarantee.
 // Scores are scaled by n·(n-1) so they estimate the same quantity the
 // exact kernel reports and TopK/Normalized work unchanged; Sources is nil
-// for adaptive runs (the estimator samples pairs, not sources).
+// (the estimator samples pairs, not sources).
 type ApproxResult struct {
 	Result
 	Guarantee Guarantee
 }
 
-// ApproxCentrality computes approximate betweenness centrality per opt:
-// the adaptive (ε,δ)-guaranteed estimator when opt.Adaptive is set, and
-// the classic fixed-k source sampling otherwise (bit-identical to
-// Centrality, with a zero Guarantee).
-func ApproxCentrality(g *graph.Graph, opt Options) *ApproxResult {
+// ApproxOptions configures the adaptive estimator.
+type ApproxOptions struct {
+	// Epsilon is the absolute-error bound on scores normalized to [0,1]
+	// (score / n(n-1)); 0 means DefaultEpsilon.
+	Epsilon float64
+	// Delta is the failure probability: with probability ≥ 1−Delta every
+	// guarantee-covered vertex is within Epsilon. 0 means DefaultDelta.
+	Delta float64
+	// TopK relaxes the stopping rule to a ranked query: stop when every
+	// vertex either has radius ≤ Epsilon or provably cannot belong to the
+	// top-k set. 0 covers all vertices.
+	TopK int
+	// Seed drives pair sampling.
+	Seed int64
+	// Concurrency is the number of sampling workers; <= 0 means the
+	// worker count. Scores do not depend on it.
+	Concurrency int
+}
+
+// ApproxCentrality computes approximate betweenness centrality with the
+// adaptive (ε,δ)-guaranteed estimator.
+func ApproxCentrality(g *graph.Graph, opt ApproxOptions) *ApproxResult {
 	r, err := ApproxCentralityCtx(context.Background(), g, opt)
 	if err != nil {
 		// Unreachable: the background context never cancels and the
@@ -120,17 +135,7 @@ func ApproxCentrality(g *graph.Graph, opt Options) *ApproxResult {
 // ApproxCentralityCtx is ApproxCentrality with cooperative cancellation,
 // checked between samples — a cancelled context returns ctx.Err() with no
 // result, bounded by the in-flight samples like the other *Ctx kernels.
-func ApproxCentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*ApproxResult, error) {
-	if !opt.Adaptive {
-		r, err := CentralityCtx(ctx, g, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &ApproxResult{Result: *r}, nil
-	}
-	if opt.K != 0 {
-		panic(fmt.Sprintf("bc: adaptive approximate centrality supports k=0 only (k = %d)", opt.K))
-	}
+func ApproxCentralityCtx(ctx context.Context, g *graph.Graph, opt ApproxOptions) (*ApproxResult, error) {
 	eps, delta := opt.Epsilon, opt.Delta
 	if eps == 0 {
 		eps = DefaultEpsilon
@@ -177,7 +182,7 @@ type adaptiveEstimator struct {
 	errs       []error
 }
 
-func newAdaptiveEstimator(g *graph.Graph, opt Options, eps, delta float64) *adaptiveEstimator {
+func newAdaptiveEstimator(g *graph.Graph, opt ApproxOptions, eps, delta float64) *adaptiveEstimator {
 	n := g.NumVertices()
 	// δ′ union-bounds the failure budget over every per-vertex check in
 	// every possible round.
@@ -188,7 +193,7 @@ func newAdaptiveEstimator(g *graph.Graph, opt Options, eps, delta float64) *adap
 		eps:   eps,
 		delta: delta,
 		seed:  opt.Seed,
-		topK:  opt.AdaptiveTopK,
+		topK:  opt.TopK,
 		lnB:   math.Log(3 * checks / delta),
 		lnH:   math.Log(2 * checks / delta),
 	}

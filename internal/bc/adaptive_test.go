@@ -13,44 +13,13 @@ import (
 	"graphct/internal/testutil"
 )
 
-// TestApproxFallbackBitIdentical pins the differential contract: with
-// Adaptive off, ApproxCentralityCtx is a pass-through to CentralityCtx —
-// same floats, same sources, zero Guarantee — for both sampled and
-// exact (samples >= n) configurations. Concurrency 1 fixes the order
-// sources are summed in; with more workers two runs of CentralityCtx
-// itself differ in the last bit.
-func TestApproxFallbackBitIdentical(t *testing.T) {
-	g := gen.RMAT(gen.PaperRMAT(8, 3))
-	n := g.NumVertices()
-	for _, opt := range []Options{
-		{Samples: 17, Seed: 7, Concurrency: 1},
-		{Samples: n + 5, Seed: 7, Concurrency: 1}, // >= n clamps to exact
-		{Samples: 17, Seed: 9, Strategy: SampleDegreeBiased, Concurrency: 1},
-	} {
-		want, err := CentralityCtx(context.Background(), g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ApproxCentralityCtx(context.Background(), g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Result, *want) {
-			t.Fatalf("opt %+v: fallback result differs from CentralityCtx", opt)
-		}
-		if got.Guarantee != (Guarantee{}) {
-			t.Fatalf("opt %+v: fallback guarantee not zero: %+v", opt, got.Guarantee)
-		}
-	}
-}
-
 // TestApproxLargeEpsilonStopsImmediately checks the degenerate tolerance:
 // a huge ε makes the worst-case cap tiny, so the run ends after a single
 // round with scores still inside the estimator's [0,1] normalized range.
 func TestApproxLargeEpsilonStopsImmediately(t *testing.T) {
 	g := gen.RMAT(gen.PaperRMAT(9, 1))
 	n := g.NumVertices()
-	res := ApproxCentrality(g, Options{Adaptive: true, Epsilon: 0.9, Delta: 0.5, Seed: 1})
+	res := ApproxCentrality(g, ApproxOptions{Epsilon: 0.9, Delta: 0.5, Seed: 1})
 	if res.Guarantee.Rounds != 1 {
 		t.Fatalf("rounds = %d, want 1", res.Guarantee.Rounds)
 	}
@@ -71,7 +40,7 @@ func TestApproxLargeEpsilonStopsImmediately(t *testing.T) {
 // (weights ignored; hop-count paths). None may panic, and scores must be
 // exact where exactness is forced.
 func TestApproxDegenerateGraphs(t *testing.T) {
-	opt := Options{Adaptive: true, Epsilon: 0.05, Seed: 1}
+	opt := ApproxOptions{Epsilon: 0.05, Seed: 1}
 
 	empty, err := graph.FromEdges(0, nil, graph.Options{})
 	if err != nil {
@@ -113,7 +82,7 @@ func TestApproxDegenerateGraphs(t *testing.T) {
 	if !directed.Directed() {
 		t.Fatal("follower generator no longer directed; test needs updating")
 	}
-	dres := ApproxCentrality(directed, Options{Adaptive: true, Epsilon: 0.04, Seed: 2})
+	dres := ApproxCentrality(directed, ApproxOptions{Epsilon: 0.04, Seed: 2})
 	exact := Exact(directed) // Centrality applies the same projection
 	nd := directed.NumVertices()
 	assertWithinEpsilon(t, "directed", dres.Scores, exact.Scores, nd, 0.04)
@@ -127,7 +96,7 @@ func TestApproxDegenerateGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wres := ApproxCentrality(weighted, Options{Adaptive: true, Epsilon: 0.04, Seed: 3})
+	wres := ApproxCentrality(weighted, ApproxOptions{Epsilon: 0.04, Seed: 3})
 	wexact := Exact(weighted)
 	assertWithinEpsilon(t, "weighted", wres.Scores, wexact.Scores, 6, 0.04)
 }
@@ -147,7 +116,7 @@ func assertWithinEpsilon(t *testing.T, name string, got, want []float64, n int, 
 // scheduling cannot change the result.
 func TestApproxDeterministicAcrossConcurrency(t *testing.T) {
 	g := gen.RMAT(gen.PaperRMAT(9, 2))
-	base := Options{Adaptive: true, Epsilon: 0.03, Seed: 11}
+	base := ApproxOptions{Epsilon: 0.03, Seed: 11}
 	opt1, opt4 := base, base
 	opt1.Concurrency = 1
 	opt4.Concurrency = 4
@@ -167,31 +136,30 @@ func TestApproxDeterministicAcrossConcurrency(t *testing.T) {
 // top-1 on a star is its center.
 func TestApproxTopKStopsEarlier(t *testing.T) {
 	g := gen.RMAT(gen.PaperRMAT(10, 5))
-	full := ApproxCentrality(g, Options{Adaptive: true, Epsilon: 0.005, Seed: 6})
-	ranked := ApproxCentrality(g, Options{Adaptive: true, Epsilon: 0.005, Seed: 6, AdaptiveTopK: 10})
+	full := ApproxCentrality(g, ApproxOptions{Epsilon: 0.005, Seed: 6})
+	ranked := ApproxCentrality(g, ApproxOptions{Epsilon: 0.005, Seed: 6, TopK: 10})
 	if ranked.Guarantee.SamplesUsed > full.Guarantee.SamplesUsed {
 		t.Fatalf("top-k run used %d samples, full run %d — relaxed rule fired later",
 			ranked.Guarantee.SamplesUsed, full.Guarantee.SamplesUsed)
 	}
 
 	star := gen.Star(64)
-	sres := ApproxCentrality(star, Options{Adaptive: true, Epsilon: 0.05, Seed: 1, AdaptiveTopK: 1})
+	sres := ApproxCentrality(star, ApproxOptions{Epsilon: 0.05, Seed: 1, TopK: 1})
 	if top := sres.TopK(1); len(top) != 1 || top[0] != 0 {
 		t.Fatalf("star top-1 = %v, want [0] (the center)", sres.TopK(1))
 	}
 }
 
-// TestApproxOptionValidation pins the fail-fast paths: adaptive k-BC is
-// unsupported, and out-of-range tolerances are caller bugs.
+// TestApproxOptionValidation pins the fail-fast path: out-of-range
+// tolerances are caller bugs.
 func TestApproxOptionValidation(t *testing.T) {
 	g := gen.Path(5)
-	for name, opt := range map[string]Options{
-		"k":        {Adaptive: true, K: 1},
-		"eps>=1":   {Adaptive: true, Epsilon: 1},
-		"eps<0":    {Adaptive: true, Epsilon: -0.1},
-		"delta>=1": {Adaptive: true, Delta: 1.5},
-		"delta<0":  {Adaptive: true, Delta: -1},
-		"both":     {Adaptive: true, Epsilon: 2, Delta: 2},
+	for name, opt := range map[string]ApproxOptions{
+		"eps>=1":   {Epsilon: 1},
+		"eps<0":    {Epsilon: -0.1},
+		"delta>=1": {Delta: 1.5},
+		"delta<0":  {Delta: -1},
+		"both":     {Epsilon: 2, Delta: 2},
 	} {
 		func() {
 			defer func() {
@@ -213,7 +181,7 @@ func TestApproxCentralityCtxCancellation(t *testing.T) {
 	g := gen.PreferentialAttachment(30000, 8, 1)
 	// ε small enough that the uncancelled run takes seconds on this graph,
 	// so a 10ms cancel always lands mid-round.
-	opt := Options{Adaptive: true, Epsilon: 0.0005, Seed: 1}
+	opt := ApproxOptions{Epsilon: 0.0005, Seed: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -243,7 +211,7 @@ func TestApproxCentralityCtxCancellation(t *testing.T) {
 // TestApproxDefaultsApplied checks zero Epsilon/Delta resolve to the
 // documented defaults in the returned guarantee.
 func TestApproxDefaultsApplied(t *testing.T) {
-	res := ApproxCentrality(gen.Ring(32), Options{Adaptive: true, Seed: 1})
+	res := ApproxCentrality(gen.Ring(32), ApproxOptions{Seed: 1})
 	if res.Guarantee.Epsilon != DefaultEpsilon || res.Guarantee.Delta != DefaultDelta {
 		t.Fatalf("guarantee (%v,%v), want defaults (%v,%v)",
 			res.Guarantee.Epsilon, res.Guarantee.Delta, DefaultEpsilon, DefaultDelta)

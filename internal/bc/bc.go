@@ -4,28 +4,27 @@
 // which also counts paths up to k longer than the shortest so scores are
 // robust to small graph perturbations.
 //
-// Parallelism follows the paper: the coarse level runs many source
-// computations concurrently (bounded so working memory stays O(S·(m+n))),
-// and each source's sweeps expose fine-grained parallelism.
+// Parallelism follows the paper's coarse level: many source computations
+// run concurrently, bounded so working memory stays O(S·(m+n)) for S
+// sources in flight. Every source-parallel kernel (classic, k-, directed,
+// weighted) goes through one driver, runSources.
 //
 // Accumulation into the score array departs from the XMT idiom on purpose.
 // The paper's hardware hides the latency of hammering one shared array
 // with atomic updates; on cache-coherent commodity machines the same
 // pattern turns the high-centrality hubs of a scale-free graph into
-// white-hot contended cache lines. By default each in-flight source
-// therefore accumulates into a private stripe and the stripes are merged
-// once by a parallel tree reduction; the atomic-CAS path survives behind
-// Options.Accumulation for graphs too large to afford the stripes. The
-// Brandes forward sweeps are likewise direction-optimized (Beamer
-// top-down/bottom-up, shared with internal/bfs) so hub-dominated levels
-// stop scanning the whole edge list.
+// white-hot contended cache lines. Each in-flight source therefore
+// accumulates into a private stripe and the stripes are merged once by a
+// parallel tree reduction. A stripe is 8·n bytes beside the 32·n bytes of
+// per-source scratch the slot needs anyway. The Brandes forward sweeps are
+// direction-optimized (Beamer top-down/bottom-up, thresholds shared with
+// internal/bfs) so hub-dominated levels stop scanning the whole edge list.
 package bc
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"graphct/internal/graph"
 	"graphct/internal/par"
@@ -50,73 +49,10 @@ type Options struct {
 	// Concurrency bounds how many sources run at once; <= 0 means the
 	// worker count. Memory grows linearly with this bound.
 	Concurrency int
-	// FineGrained runs each source's sweeps with parallel loops as well.
-	// Off by default: with many sources in flight, coarse parallelism
-	// already saturates the machine (the ablation benchmarks compare).
-	FineGrained bool
 	// Strategy selects how sampled sources are drawn; the zero value is
 	// the paper's uniform ("unguided") sampling.
 	Strategy Sampling
-	// Accumulation selects how per-source contributions merge into the
-	// score array. The zero value AccumAuto uses striped (contention-free)
-	// accumulation when the stripes fit StripeBudget and the atomic-CAS
-	// shared array otherwise.
-	Accumulation Accumulation
-	// StripeBudget caps the extra memory AccumAuto may spend on score
-	// stripes, in bytes (slots × n × 8 must fit); 0 means
-	// DefaultStripeBudget. Ignored when Accumulation is explicit.
-	StripeBudget int64
-	// Sweep selects the Brandes forward-sweep traversal. The zero value
-	// SweepAuto direction-optimizes; SweepTopDown forces the classic
-	// push-only reference sweep. Scores are bit-identical either way.
-	Sweep Sweep
-	// Scratch selects how per-source workspaces allocate. The zero value
-	// ScratchAuto carves each workspace from one bump-allocator arena;
-	// ScratchHeap keeps the individual heap allocations (the pre-arena
-	// behavior, retained for the ablation benchmarks).
-	Scratch Scratch
-	// Adaptive switches ApproxCentralityCtx to the adaptive pair-sampling
-	// estimator with an (ε,δ) absolute-error guarantee (see adaptive.go).
-	// Off, it falls back bit-identically to the fixed-k sampling above.
-	// Requires K == 0; Samples/Strategy/Sweep/Accumulation are ignored.
-	Adaptive bool
-	// Epsilon is the adaptive estimator's absolute-error bound on scores
-	// normalized to [0,1] (score / n(n-1)); 0 means DefaultEpsilon.
-	Epsilon float64
-	// Delta is the adaptive estimator's failure probability: with
-	// probability ≥ 1−Delta every guarantee-covered vertex is within
-	// Epsilon. 0 means DefaultDelta.
-	Delta float64
-	// AdaptiveTopK relaxes the adaptive stopping rule to a ranked query:
-	// stop when every vertex either has radius ≤ Epsilon or provably
-	// cannot belong to the top-k set. 0 covers all vertices.
-	AdaptiveTopK int
 }
-
-// Scratch selects the workspace allocation strategy.
-type Scratch int
-
-const (
-	// ScratchAuto backs each pooled workspace with an internal/arena bump
-	// allocator: one GC-opaque allocation per concurrency slot.
-	ScratchAuto Scratch = iota
-	// ScratchHeap allocates each scratch array individually on the heap.
-	ScratchHeap
-)
-
-// Sweep selects the traversal strategy of the Brandes forward sweeps.
-type Sweep int
-
-const (
-	// SweepAuto direction-optimizes each level: top-down push while the
-	// frontier is small, bottom-up pull (frontier-sigma array) when the
-	// frontier's out-edges dominate, per the thresholds shared with
-	// the bfs engine.
-	SweepAuto Sweep = iota
-	// SweepTopDown forces the classic level-synchronous push sweep on
-	// every level — the reference the equivalence tests compare against.
-	SweepTopDown
-)
 
 // Result holds centrality scores. Sampled scores are scaled by n/|sources|
 // so they estimate the exact scores.
@@ -160,6 +96,20 @@ func CentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, e
 		// the backward sweeps likewise assume symmetric adjacency.
 		g = g.Undirected()
 	}
+	return runSources(ctx, g, opt, func() sourceKernel {
+		ws := newWorkspace(g, opt.K)
+		if opt.K == 0 {
+			return func(s int32, sink scoreSink) { brandesSource(g, s, ws, sink) }
+		}
+		return func(s int32, sink scoreSink) { kbcSource(g, s, ws, sink) }
+	})
+}
+
+// runSources is the one source-parallel driver: draw the sources, keep at
+// most opt.Concurrency of them in flight, each on a slot holding a private
+// score stripe and a kernel from newKernel, and merge the stripes. The
+// context is checked between sources; in-flight sources finish.
+func runSources(ctx context.Context, g *graph.Graph, opt Options, newKernel func() sourceKernel) (*Result, error) {
 	n := g.NumVertices()
 	sources := sampleWithStrategy(g, opt.Samples, opt.Seed, opt.Strategy)
 	scale := 1.0
@@ -170,46 +120,29 @@ func CentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, e
 	if limit <= 0 {
 		limit = par.Workers()
 	}
-	// One stripe per concurrency slot suffices; fewer sources than slots
-	// means fewer stripes to allocate and merge.
-	slots := limit
-	if len(sources) < slots {
-		slots = len(sources)
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	acc := newAccumulator(n, slots, opt.Accumulation, opt.StripeBudget, scale)
-	// Compact graphs decode neighbor rows into a workspace buffer sized to
-	// the maximum degree, so the hot sweeps never allocate; raw graphs
-	// alias CSR storage and need no buffer.
-	nbufCap := 0
-	if g.Compacted() {
-		nbufCap = g.MaxDegree()
+	// One slot per source that can be in flight, handed out through a free
+	// list; fewer sources than the limit means fewer to allocate and merge.
+	stripes := make([][]float64, max(1, min(limit, len(sources))))
+	free := make(chan *slot, len(stripes))
+	for i := range stripes {
+		stripes[i] = make([]float64, n)
+		free <- &slot{sink: scoreSink{local: stripes[i], scale: scale}}
 	}
 	grp := par.NewGroup(limit)
-	var pool sync.Pool
 	for _, s := range sources {
 		if ctx.Err() != nil {
-			break // stop scheduling; in-flight sources finish
+			break // stop scheduling
 		}
-		s := s
 		grp.Go(func() error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			sink, release := acc.acquire()
-			defer release()
-			ws, _ := pool.Get().(*workspace)
-			if ws == nil || ws.n != n || ws.k != opt.K {
-				ws = newWorkspace(n, opt.K, nbufCap, opt.Scratch)
+			sl := <-free
+			if sl.kernel == nil {
+				sl.kernel = newKernel()
 			}
-			if opt.K == 0 {
-				brandesSource(g, s, ws, sink, opt.FineGrained, opt.Sweep)
-			} else {
-				kbcSource(g, s, ws, sink)
-			}
-			pool.Put(ws)
+			sl.kernel(s, sl.sink)
+			free <- sl
 			return nil
 		})
 	}
@@ -219,7 +152,9 @@ func CentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Result{Scores: acc.merge(), Sources: sources, K: opt.K}, nil
+	scores := make([]float64, n)
+	par.SumSlices(scores, stripes) // tree reduction; consumes the stripes
+	return &Result{Scores: scores, Sources: sources, K: opt.K}, nil
 }
 
 // sampleSources returns the source set: all vertices when samples is out of

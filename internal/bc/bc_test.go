@@ -124,23 +124,6 @@ func TestMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestFineGrainedMatchesSequential(t *testing.T) {
-	f := func(seed int64) bool {
-		g := gen.ErdosRenyi(60, 150, seed)
-		a := Centrality(g, Options{}).Scores
-		b := Centrality(g, Options{FineGrained: true}).Scores
-		for v := range a {
-			if !testutil.AlmostEqual(a[v], b[v]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestKZeroGeneralPathMatchesBrandes(t *testing.T) {
 	// Drive kbcSource directly with k=0; it must agree with Brandes.
 	f := func(seed int64) bool {
@@ -148,7 +131,7 @@ func TestKZeroGeneralPathMatchesBrandes(t *testing.T) {
 		n := g.NumVertices()
 		want := Exact(g).Scores
 		scores := make([]float64, n)
-		ws := newWorkspace(n, 0, 0, ScratchAuto)
+		ws := newWorkspace(g, 0)
 		for s := 0; s < n; s++ {
 			kbcSource(g, int32(s), ws, scoreSink{local: scores, scale: 1})
 		}

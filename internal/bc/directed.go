@@ -1,98 +1,49 @@
 package bc
 
 import (
+	"context"
+	"fmt"
+
 	"graphct/internal/graph"
-	"graphct/internal/par"
 )
 
-// DirectedOptions configures directed-flow betweenness centrality — the
-// paper's "directed model connecting only @foo to @bar could model
-// directed flow and is of future interest". Shortest paths follow arc
-// direction; the backward sweep scans the transpose graph for
-// predecessors.
-type DirectedOptions struct {
-	Samples     int
-	Seed        int64
-	Concurrency int
-	Strategy    Sampling
-}
-
 // DirectedCentrality computes betweenness centrality over directed
-// shortest paths. The input must be a directed graph; undirected graphs
-// should use Centrality, which treats each edge as bidirectional.
-func DirectedCentrality(g *graph.Graph, opt DirectedOptions) *Result {
+// shortest paths — the paper's "directed model connecting only @foo to
+// @bar could model directed flow and is of future interest". Shortest
+// paths follow arc direction; the backward sweep scans the transpose graph
+// for predecessors. Undirected graphs already encode both arc directions
+// and go to Centrality. Only classic betweenness (k = 0) is supported;
+// sampling and concurrency behave as in Centrality.
+func DirectedCentrality(g *graph.Graph, opt Options) (*Result, error) {
+	if opt.K != 0 {
+		return nil, fmt.Errorf("bc: directed k-betweenness not supported (k = %d)", opt.K)
+	}
 	if !g.Directed() {
-		// An undirected graph already encodes both arc directions.
-		return Centrality(g, Options{Samples: opt.Samples, Seed: opt.Seed,
-			Concurrency: opt.Concurrency, Strategy: opt.Strategy})
+		return Centrality(g, opt), nil
 	}
-	n := g.NumVertices()
 	rev := g.Reverse()
-	sources := sampleWithStrategy(g, opt.Samples, opt.Seed, opt.Strategy)
-	scores := make([]uint64, n)
-	scale := 1.0
-	if len(sources) > 0 && len(sources) < n {
-		scale = float64(n) / float64(len(sources))
-	}
-	limit := opt.Concurrency
-	if limit <= 0 {
-		limit = par.Workers()
-	}
-	grp := par.NewGroup(limit)
-	for _, s := range sources {
-		s := s
-		grp.Go(func() error {
-			directedSource(g, rev, s, scores, scale)
-			return nil
-		})
-	}
-	grp.Wait()
-	out := make([]float64, n)
-	par.For(n, func(v int) { out[v] = par.LoadFloat64(&scores[v]) })
-	return &Result{Scores: out, Sources: sources}
+	return runSources(context.Background(), g, opt, func() sourceKernel {
+		ws := newWorkspace(g, 0)
+		return func(s int32, sink scoreSink) { directedSource(g, rev, s, ws, sink) }
+	})
 }
 
-// directedSource is Brandes over directed arcs: forward BFS follows
+// directedSource is Brandes over directed arcs: the forward sweep follows
 // out-arcs; the dependency sweep finds predecessors by scanning the
 // transpose adjacency.
-func directedSource(g, rev *graph.Graph, s int32, scores []uint64, scale float64) {
-	n := g.NumVertices()
-	dist := make([]int32, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	order := make([]int32, 0, 256)
-	dist[s] = 0
-	sigma[s] = 1
-	order = append(order, s)
-	frontier := order[0:1]
-	for len(frontier) > 0 {
-		end := len(order)
-		for _, u := range frontier {
-			du, su := dist[u], sigma[u]
-			for _, v := range g.Neighbors(u) {
-				if dist[v] == -1 {
-					dist[v] = du + 1
-					order = append(order, v)
-				}
-				if dist[v] == du+1 {
-					sigma[v] += su
-				}
-			}
-		}
-		frontier = order[end:]
-	}
-	for i := len(order) - 1; i > 0; i-- {
-		w := order[i]
+func directedSource(g, rev *graph.Graph, s int32, ws *workspace, sink scoreSink) {
+	defer ws.reset()
+	ws.forwardSweep(g, s)
+	dist, sigma, delta := ws.dist, ws.sigma, ws.delta
+	for i := len(ws.order) - 1; i > 0; i-- {
+		w := ws.order[i]
 		coef := (1 + delta[w]) / sigma[w]
 		dw := dist[w]
-		for _, v := range rev.Neighbors(w) {
+		for _, v := range rev.NeighborsInto(&ws.nbuf, w) {
 			if dist[v] == dw-1 {
 				delta[v] += sigma[v] * coef
 			}
 		}
-		par.AddFloat64(&scores[w], scale*delta[w])
+		sink.add(w, delta[w])
 	}
 }

@@ -61,11 +61,20 @@ func bruteDirected(g *graph.Graph) []float64 {
 	return scores
 }
 
+func mustDirected(t *testing.T, g *graph.Graph, opt Options) *Result {
+	t.Helper()
+	r, err := DirectedCentrality(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestDirectedChain(t *testing.T) {
 	// 0 -> 1 -> 2 -> 3: vertex 1 carries pairs (0,2),(0,3); vertex 2
 	// carries (0,3),(1,3). No reverse paths exist.
 	g, _ := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}, graph.Options{Directed: true})
-	r := DirectedCentrality(g, DirectedOptions{})
+	r := mustDirected(t, g, Options{})
 	want := []float64{0, 2, 2, 0}
 	for v, w := range want {
 		if !testutil.AlmostEqual(r.Scores[v], w) {
@@ -79,7 +88,7 @@ func TestDirectedVsUndirectedDiffer(t *testing.T) {
 	// paths; the undirected projection has shorter two-way routes.
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 0}}
 	d, _ := graph.FromEdges(5, edges, graph.Options{Directed: true})
-	dir := DirectedCentrality(d, DirectedOptions{})
+	dir := mustDirected(t, d, Options{})
 	und := Exact(d)
 	if testutil.AlmostEqual(dir.Scores[0], und.Scores[0]) {
 		t.Fatalf("directed (%v) and undirected (%v) should differ on a cycle",
@@ -104,7 +113,7 @@ func TestDirectedMatchesBrute(t *testing.T) {
 			return false
 		}
 		want := bruteDirected(g)
-		got := DirectedCentrality(g, DirectedOptions{}).Scores
+		got := mustDirected(t, g, Options{}).Scores
 		for v := range want {
 			if !testutil.AlmostEqual(got[v], want[v]) {
 				return false
@@ -119,7 +128,7 @@ func TestDirectedMatchesBrute(t *testing.T) {
 
 func TestDirectedUndirectedInputFallsBack(t *testing.T) {
 	g := gen.Ring(8)
-	a := DirectedCentrality(g, DirectedOptions{}).Scores
+	a := mustDirected(t, g, Options{}).Scores
 	b := Exact(g).Scores
 	for v := range a {
 		if !testutil.AlmostEqual(a[v], b[v]) {
@@ -131,14 +140,14 @@ func TestDirectedUndirectedInputFallsBack(t *testing.T) {
 func TestDirectedSampled(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 1, V: 3}}
 	g, _ := graph.FromEdges(4, edges, graph.Options{Directed: true})
-	full := DirectedCentrality(g, DirectedOptions{Samples: 4}).Scores
-	exact := DirectedCentrality(g, DirectedOptions{}).Scores
+	full := mustDirected(t, g, Options{Samples: 4}).Scores
+	exact := mustDirected(t, g, Options{}).Scores
 	for v := range exact {
 		if !testutil.AlmostEqual(full[v], exact[v]) {
 			t.Fatal("full sampling differs from exact")
 		}
 	}
-	sampled := DirectedCentrality(g, DirectedOptions{Samples: 2, Seed: 3})
+	sampled := mustDirected(t, g, Options{Samples: 2, Seed: 3})
 	if len(sampled.Sources) != 2 {
 		t.Fatalf("sources = %v", sampled.Sources)
 	}
@@ -146,5 +155,12 @@ func TestDirectedSampled(t *testing.T) {
 		if math.IsNaN(s) || s < 0 {
 			t.Fatalf("bad sampled score %v", s)
 		}
+	}
+}
+
+func TestDirectedRejectsK(t *testing.T) {
+	g, _ := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}}, graph.Options{Directed: true})
+	if _, err := DirectedCentrality(g, Options{K: 1}); err == nil {
+		t.Fatal("directed k-betweenness accepted")
 	}
 }

@@ -1,12 +1,11 @@
 package bc
 
-// Seed-stream derivation shared by the sampling estimators. Both the
-// adaptive estimator's per-sample RNG streams and EstimateWithConfidence's
-// per-realization source draws need many independent streams from one
-// user-facing seed; deriving them by small additive offsets risks
-// collisions between streams of related seeds (seed X, realization 1 and
-// seed X+offset, realization 0 would draw identical sources), so streams
-// are separated by a full 64-bit finalizer instead.
+// Seed-stream derivation for the adaptive estimator, which needs one
+// independent RNG stream per sample from one user-facing seed; deriving
+// them by small additive offsets risks collisions between streams of
+// related seeds (seed X, sample 1 and seed X+offset, sample 0 would draw
+// identical pairs), so streams are separated by a full 64-bit finalizer
+// instead.
 
 // mix64 is the murmur3 fmix64 finalizer: a bijective avalanche so any two
 // distinct inputs give unrelated outputs.
@@ -22,12 +21,6 @@ func mix64(z uint64) uint64 {
 func deriveState(seed, i int64) uint64 {
 	z := mix64(uint64(seed)) ^ uint64(i)*0x9E3779B97F4A7C15
 	return mix64(z)
-}
-
-// deriveSeed is deriveState for code that needs an int64 seed (the
-// fixed-k sampling paths seed math/rand sources).
-func deriveSeed(seed, i int64) int64 {
-	return int64(deriveState(seed, i))
 }
 
 // sm64 is a splitmix64 PRNG: 3 multiplies and a few shifts per draw, no

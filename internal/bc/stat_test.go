@@ -110,9 +110,9 @@ func TestAdaptiveGuaranteeStatistical(t *testing.T) {
 		for run := 0; run < statRuns; run++ {
 			// Independent runs: seeds from the shared stream derivation so
 			// no two (graph, run) pairs alias.
-			seed := deriveSeed(nameHash, int64(run))
-			res := ApproxCentrality(g, Options{
-				Adaptive: true, Epsilon: statEps, Delta: statDelta, Seed: seed,
+			seed := int64(deriveState(nameHash, int64(run)))
+			res := ApproxCentrality(g, ApproxOptions{
+				Epsilon: statEps, Delta: statDelta, Seed: seed,
 			})
 			if res.Guarantee.SamplesUsed <= 0 || res.Guarantee.Rounds <= 0 {
 				t.Fatalf("%s run %d: degenerate guarantee %+v", name, run, res.Guarantee)

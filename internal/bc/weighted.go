@@ -2,10 +2,10 @@ package bc
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 
 	"graphct/internal/graph"
-	"graphct/internal/par"
 )
 
 // WeightedCentrality computes betweenness centrality over weighted
@@ -31,35 +31,15 @@ func WeightedCentrality(g *graph.Graph, opt Options) (*Result, error) {
 			}
 		}
 	}
-	n := g.NumVertices()
-	sources := sampleWithStrategy(g, opt.Samples, opt.Seed, opt.Strategy)
-	scores := make([]uint64, n)
-	scale := 1.0
-	if len(sources) > 0 && len(sources) < n {
-		scale = float64(n) / float64(len(sources))
-	}
-	limit := opt.Concurrency
-	if limit <= 0 {
-		limit = par.Workers()
-	}
-	grp := par.NewGroup(limit)
-	for _, s := range sources {
-		s := s
-		grp.Go(func() error {
-			weightedSource(g, s, scores, scale)
-			return nil
-		})
-	}
-	grp.Wait()
-	out := make([]float64, n)
-	par.For(n, func(v int) { out[v] = par.LoadFloat64(&scores[v]) })
-	return &Result{Scores: out, Sources: sources}, nil
+	return runSources(context.Background(), g, opt, func() sourceKernel {
+		return func(s int32, sink scoreSink) { weightedSource(g, s, sink) }
+	})
 }
 
 // weightedSource is Brandes with Dijkstra: dist and sigma are settled in
 // non-decreasing distance order, and the dependency sweep walks vertices
 // in decreasing distance.
-func weightedSource(g *graph.Graph, s int32, scores []uint64, scale float64) {
+func weightedSource(g *graph.Graph, s int32, sink scoreSink) {
 	n := g.NumVertices()
 	dist := make([]int64, n)
 	sigma := make([]float64, n)
@@ -114,7 +94,7 @@ func weightedSource(g *graph.Graph, s int32, scores []uint64, scale float64) {
 				delta[v] += sigma[v] * coef
 			}
 		}
-		par.AddFloat64(&scores[w], scale*delta[w])
+		sink.add(w, delta[w])
 	}
 }
 

@@ -157,46 +157,46 @@ func TestLongChainConverges(t *testing.T) {
 	}
 }
 
-func TestComponentsBFSBasics(t *testing.T) {
-	g := gen.Disjoint(gen.Ring(5), gen.Path(3), gen.Star(7))
-	r := ComponentsBFS(g)
-	if r.Count != 3 {
-		t.Fatalf("components = %d, want 3", r.Count)
+// serialLabels labels components one BFS at a time, smallest unlabelled
+// vertex first, so every component gets its smallest id — the reference
+// Components is compared against.
+func serialLabels(g *graph.Graph) []int32 {
+	labels := make([]int32, g.NumVertices())
+	for v := range labels {
+		labels[v] = -1
 	}
-	if !r.SameComponent(0, 4) || r.SameComponent(0, 5) {
-		t.Fatal("membership wrong")
+	for v := range labels {
+		if labels[v] != -1 {
+			continue
+		}
+		for _, w := range bfs.Search(g, int32(v)).Order {
+			labels[w] = int32(v)
+		}
 	}
-	empty := ComponentsBFS(graph.Empty(0, false))
-	if empty.Count != 0 {
-		t.Fatal("empty graph")
-	}
+	return labels
 }
 
-func TestComponentsBFSDirected(t *testing.T) {
-	d, _ := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, graph.Options{Directed: true})
-	if got := ComponentsBFS(d).Count; got != 2 {
-		t.Fatalf("weak components = %d, want 2", got)
+func sameLabels(r *Result, want []int32) bool {
+	count := 0
+	for v, c := range want {
+		if r.Colors[v] != c {
+			return false
+		}
+		if c == int32(v) {
+			count++
+		}
 	}
+	return r.Count == count
 }
 
-// Property: the multi-BFS coloring produces exactly the same labeling as
-// the hook-and-jump kernel on random graphs — including long chains that
-// stress the absorption phase and sparse graphs with many components.
+// Property: the hook-and-jump kernel produces exactly the serial BFS
+// labeling on random graphs — including sparse graphs with many
+// components.
 func TestPropertyComponentsBFSEquivalent(t *testing.T) {
 	f := func(seed int64, mRaw uint8) bool {
 		m := int(mRaw)%200 + 10
 		g := gen.ErdosRenyi(120, m, seed)
-		a := Components(g)
-		b := ComponentsBFS(g)
-		if a.Count != b.Count {
-			return false
-		}
-		for v := range a.Colors {
-			if a.Colors[v] != b.Colors[v] {
-				return false
-			}
-		}
-		return true
+		return sameLabels(Components(g), serialLabels(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -204,17 +204,10 @@ func TestPropertyComponentsBFSEquivalent(t *testing.T) {
 }
 
 func TestComponentsBFSLongChain(t *testing.T) {
-	r := ComponentsBFS(gen.Path(3000))
-	if r.Count != 1 || r.Colors[2999] != 0 {
+	g := gen.Path(3000)
+	r := Components(g)
+	if !sameLabels(r, serialLabels(g)) || r.Count != 1 || r.Colors[2999] != 0 {
 		t.Fatalf("path labeling: count=%d tail=%d", r.Count, r.Colors[2999])
-	}
-}
-
-func BenchmarkComponentsBFSRMAT14(b *testing.B) {
-	g := gen.RMAT(gen.PaperRMAT(14, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ComponentsBFS(g)
 	}
 }
 

@@ -258,16 +258,16 @@ func (t *Toolkit) KCentralityCtx(ctx context.Context, k, samples int) (*bc.Resul
 // "kcentrality 0 0 eps=E delta=D". topK > 0 relaxes the stopping rule to
 // certify the top-k ranking only.
 func (t *Toolkit) ApproxCentrality(eps, delta float64, topK int) *bc.ApproxResult {
-	return bc.ApproxCentrality(t.g, bc.Options{
-		Adaptive: true, Epsilon: eps, Delta: delta, AdaptiveTopK: topK, Seed: t.seed,
+	return bc.ApproxCentrality(t.g, bc.ApproxOptions{
+		Epsilon: eps, Delta: delta, TopK: topK, Seed: t.seed,
 	})
 }
 
 // ApproxCentralityCtx is ApproxCentrality with cooperative cancellation,
 // checked between samples.
 func (t *Toolkit) ApproxCentralityCtx(ctx context.Context, eps, delta float64, topK int) (*bc.ApproxResult, error) {
-	return bc.ApproxCentralityCtx(ctx, t.g, bc.Options{
-		Adaptive: true, Epsilon: eps, Delta: delta, AdaptiveTopK: topK, Seed: t.seed,
+	return bc.ApproxCentralityCtx(ctx, t.g, bc.ApproxOptions{
+		Epsilon: eps, Delta: delta, TopK: topK, Seed: t.seed,
 	})
 }
 

@@ -1,20 +1,22 @@
-package bc
+package experiments
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 
+	"graphct/internal/bc"
 	"graphct/internal/graph"
 )
 
-// ConfidenceResult quantifies the run-to-run variability of sampled
+// confidenceResult quantifies the run-to-run variability of sampled
 // betweenness centrality — the paper's closing open problem:
 // "quantifying significance and confidence of approximations over noisy
 // graph data". Scores are estimated over independent source draws
 // (realizations); per-vertex means and standard deviations summarize
 // score stability, and the top-k sets' pairwise Jaccard similarity
 // summarizes ranking stability.
-type ConfidenceResult struct {
+type confidenceResult struct {
 	Mean         []float64 // per-vertex mean sampled score
 	Std          []float64 // per-vertex standard deviation across realizations
 	Realizations int
@@ -22,11 +24,11 @@ type ConfidenceResult struct {
 	TopKStable   []int32 // vertices in the top k of every realization
 }
 
-// EstimateWithConfidence runs `realizations` independent sampled-BC
+// estimateWithConfidence runs `realizations` independent sampled-BC
 // estimates (each with its own source draw) and aggregates them. topK
 // controls the ranking-stability statistics; realizations < 2 is raised
 // to 2.
-func EstimateWithConfidence(g *graph.Graph, opt Options, realizations, topK int) *ConfidenceResult {
+func estimateWithConfidence(g *graph.Graph, opt bc.Options, realizations, topK int) *confidenceResult {
 	if realizations < 2 {
 		realizations = 2
 	}
@@ -37,13 +39,14 @@ func EstimateWithConfidence(g *graph.Graph, opt Options, realizations, topK int)
 	mean := make([]float64, n)
 	m2 := make([]float64, n) // Welford accumulator
 	tops := make([][]int32, realizations)
+	// Realization seeds come from one stream seeded with opt.Seed: an
+	// additive offset (seed + r) would let realizations of nearby base
+	// seeds alias each other's source draws.
+	seeds := rand.New(rand.NewSource(opt.Seed))
 	for r := 0; r < realizations; r++ {
 		runOpt := opt
-		// Each realization gets a fully mixed derived seed: the old
-		// additive offset (seed + r·0x9E37) let realizations of related
-		// base seeds alias each other's source draws.
-		runOpt.Seed = deriveSeed(opt.Seed, int64(r))
-		res := Centrality(g, runOpt)
+		runOpt.Seed = seeds.Int63()
+		res := bc.Centrality(g, runOpt)
 		for v, s := range res.Scores {
 			delta := s - mean[v]
 			mean[v] += delta / float64(r+1)
@@ -55,7 +58,7 @@ func EstimateWithConfidence(g *graph.Graph, opt Options, realizations, topK int)
 	for v := range std {
 		std[v] = math.Sqrt(m2[v] / float64(realizations-1))
 	}
-	return &ConfidenceResult{
+	return &confidenceResult{
 		Mean:         mean,
 		Std:          std,
 		Realizations: realizations,
@@ -64,10 +67,10 @@ func EstimateWithConfidence(g *graph.Graph, opt Options, realizations, topK int)
 	}
 }
 
-// CoefficientOfVariation returns std/mean for the top `k` vertices by
+// coefficientOfVariation returns std/mean for the top `k` vertices by
 // mean score — a compact "how trustworthy are the headline ranks"
 // statistic. Vertices with zero mean are skipped.
-func (c *ConfidenceResult) CoefficientOfVariation(k int) float64 {
+func (c *confidenceResult) coefficientOfVariation(k int) float64 {
 	idx := make([]int32, len(c.Mean))
 	for i := range idx {
 		idx[i] = int32(i)

@@ -1,9 +1,11 @@
-package bc
+package experiments
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"graphct/internal/bc"
 	"graphct/internal/gen"
 	"graphct/internal/testutil"
 )
@@ -12,8 +14,8 @@ func TestConfidenceFullSamplingIsExact(t *testing.T) {
 	// With every vertex sampled there is no sampling noise: std must be
 	// ~0 everywhere, the top-k sets identical, and the mean exact.
 	g := gen.PreferentialAttachment(150, 2, 3)
-	exact := Exact(g).Scores
-	c := EstimateWithConfidence(g, Options{Samples: 0}, 3, 10)
+	exact := bc.Exact(g).Scores
+	c := estimateWithConfidence(g, bc.Options{Samples: 0}, 3, 10)
 	for v := range exact {
 		if !testutil.AlmostEqual(c.Mean[v], exact[v]) {
 			t.Fatalf("mean differs at %d: %v vs %v", v, c.Mean[v], exact[v])
@@ -28,14 +30,14 @@ func TestConfidenceFullSamplingIsExact(t *testing.T) {
 	if len(c.TopKStable) != 10 {
 		t.Fatalf("stable set = %v", c.TopKStable)
 	}
-	if cv := c.CoefficientOfVariation(10); cv > 1e-9 {
+	if cv := c.coefficientOfVariation(10); cv > 1e-9 {
 		t.Fatalf("cv = %v, want 0", cv)
 	}
 }
 
 func TestConfidenceSampledHasVariance(t *testing.T) {
 	g := gen.PreferentialAttachment(300, 2, 5)
-	c := EstimateWithConfidence(g, Options{Samples: 30, Seed: 1}, 5, 10)
+	c := estimateWithConfidence(g, bc.Options{Samples: 30, Seed: 1}, 5, 10)
 	if c.Realizations != 5 {
 		t.Fatalf("realizations = %d", c.Realizations)
 	}
@@ -57,18 +59,18 @@ func TestConfidenceSampledHasVariance(t *testing.T) {
 	if len(c.TopKStable) > 10 {
 		t.Fatalf("stable set too large: %v", c.TopKStable)
 	}
-	if cv := c.CoefficientOfVariation(10); cv <= 0 {
+	if cv := c.coefficientOfVariation(10); cv <= 0 {
 		t.Fatalf("cv = %v, want > 0 under sampling", cv)
 	}
 }
 
 func TestConfidenceMoreSamplesTightens(t *testing.T) {
 	g := gen.PreferentialAttachment(300, 3, 7)
-	loose := EstimateWithConfidence(g, Options{Samples: 15, Seed: 2}, 6, 15)
-	tight := EstimateWithConfidence(g, Options{Samples: 150, Seed: 2}, 6, 15)
-	if tight.CoefficientOfVariation(15) >= loose.CoefficientOfVariation(15) {
+	loose := estimateWithConfidence(g, bc.Options{Samples: 15, Seed: 2}, 6, 15)
+	tight := estimateWithConfidence(g, bc.Options{Samples: 150, Seed: 2}, 6, 15)
+	if tight.coefficientOfVariation(15) >= loose.coefficientOfVariation(15) {
 		t.Fatalf("cv did not tighten: %v vs %v",
-			tight.CoefficientOfVariation(15), loose.CoefficientOfVariation(15))
+			tight.coefficientOfVariation(15), loose.coefficientOfVariation(15))
 	}
 	if tight.TopKJaccard < loose.TopKJaccard-0.05 {
 		t.Fatalf("ranking stability fell with more samples: %v vs %v",
@@ -78,7 +80,7 @@ func TestConfidenceMoreSamplesTightens(t *testing.T) {
 
 func TestConfidenceRealizationFloor(t *testing.T) {
 	g := gen.Ring(20)
-	c := EstimateWithConfidence(g, Options{Samples: 5}, 0, 5)
+	c := estimateWithConfidence(g, bc.Options{Samples: 5}, 0, 5)
 	if c.Realizations != 2 {
 		t.Fatalf("realizations = %d, want floor 2", c.Realizations)
 	}
@@ -103,26 +105,27 @@ func TestJaccardHelpers(t *testing.T) {
 }
 
 // TestConfidenceRealizationSeedsDistinct is the regression test for the
-// seed-derivation fix: realizations used to derive seeds by a small
-// additive offset (seed + r·0x9E37), so a run at base seed X could share
-// its realization-1 source draw with a run at base seed X+0x9E37 — and,
-// worse, any future stride change risked realizations of ONE run
-// colliding. The fixed derivation routes every (seed, realization) pair
-// through a 64-bit finalizer; this test pins the user-visible property:
-// on a seeded sampled run, no two realizations draw the same source set,
-// and the old cross-seed alias is gone.
+// seed derivation: realizations once took seeds by a small additive offset
+// (seed + r·0x9E37), so a run at base seed X shared its realization-1
+// source draw with realization 0 of a run at base seed X+0x9E37. Every
+// realization now draws its seed from one stream seeded with the base
+// seed; this test pins the user-visible property: on a seeded sampled run
+// no two realizations draw the same source set, and the cross-seed alias
+// is gone.
 func TestConfidenceRealizationSeedsDistinct(t *testing.T) {
 	g := gen.PreferentialAttachment(400, 2, 9)
 	const realizations = 6
-	opt := Options{Samples: 12, Seed: 42}
 	// Reproduce each realization's source draw exactly as
-	// EstimateWithConfidence derives it.
-	draws := make([][]int32, realizations)
-	for r := range draws {
-		runOpt := opt
-		runOpt.Seed = deriveSeed(opt.Seed, int64(r))
-		draws[r] = Centrality(g, runOpt).Sources
+	// estimateWithConfidence derives it.
+	draw := func(base int64) [][]int32 {
+		seeds := rand.New(rand.NewSource(base))
+		out := make([][]int32, realizations)
+		for r := range out {
+			out[r] = bc.Centrality(g, bc.Options{Samples: 12, Seed: seeds.Int63()}).Sources
+		}
+		return out
 	}
+	draws := draw(42)
 	for i := 0; i < realizations; i++ {
 		for j := i + 1; j < realizations; j++ {
 			if sameSources(draws[i], draws[j]) {
@@ -130,10 +133,8 @@ func TestConfidenceRealizationSeedsDistinct(t *testing.T) {
 			}
 		}
 	}
-	// The historical collision: seed X realization 1 vs seed X+0x9E37
-	// realization 0 were bit-identical under the additive scheme.
-	if deriveSeed(42, 1) == deriveSeed(42+0x9E37, 0) {
-		t.Fatal("derived seeds still alias across (seed, realization) pairs")
+	if sameSources(draws[1], draw(42 + 0x9E37)[0]) {
+		t.Fatal("realizations still alias across (seed, realization) pairs")
 	}
 }
 
@@ -150,8 +151,8 @@ func sameSources(a, b []int32) bool {
 }
 
 func TestCoefficientOfVariationDegenerate(t *testing.T) {
-	c := &ConfidenceResult{Mean: []float64{0, 0}, Std: []float64{1, 1}}
-	if cv := c.CoefficientOfVariation(2); cv != 0 {
+	c := &confidenceResult{Mean: []float64{0, 0}, Std: []float64{1, 1}}
+	if cv := c.coefficientOfVariation(2); cv != 0 {
 		t.Fatalf("all-zero-mean cv = %v", cv)
 	}
 }

@@ -209,12 +209,12 @@ func Confidence(cfg Config) []ConfidenceRow {
 		if samples < 1 {
 			samples = 1
 		}
-		c := bc.EstimateWithConfidence(g, bc.Options{Samples: samples, Seed: cfg.Seed},
+		c := estimateWithConfidence(g, bc.Options{Samples: samples, Seed: cfg.Seed},
 			cfg.realizations(), topK)
 		row := ConfidenceRow{
 			Fraction:    frac,
 			TopKJaccard: c.TopKJaccard,
-			TopCV:       c.CoefficientOfVariation(topK),
+			TopCV:       c.coefficientOfVariation(topK),
 			StableTop:   len(c.TopKStable),
 		}
 		rows = append(rows, row)

@@ -1,34 +1,6 @@
 package par
 
-import (
-	"math"
-	"sync/atomic"
-)
-
-// AddFloat64 atomically adds delta to *addr using a compare-and-swap loop on
-// the float's bit pattern. The Cray XMT provides int fetch-and-add in
-// hardware; GraphCT accumulates real-valued centrality scores, so this is
-// the one extra primitive the kernels need.
-func AddFloat64(addr *uint64, delta float64) {
-	for {
-		old := atomic.LoadUint64(addr)
-		new := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(addr, old, new) {
-			return
-		}
-	}
-}
-
-// LoadFloat64 atomically loads the float64 stored in *addr by AddFloat64 /
-// StoreFloat64.
-func LoadFloat64(addr *uint64) float64 {
-	return math.Float64frombits(atomic.LoadUint64(addr))
-}
-
-// StoreFloat64 atomically stores v into *addr.
-func StoreFloat64(addr *uint64, v float64) {
-	atomic.StoreUint64(addr, math.Float64bits(v))
-}
+import "sync/atomic"
 
 // MinInt32 atomically lowers *addr to v if v is smaller, returning true when
 // the store happened. It is the hooking primitive of the connected-components
@@ -43,24 +15,4 @@ func MinInt32(addr *int32, v int32) bool {
 			return true
 		}
 	}
-}
-
-// MaxInt32 atomically raises *addr to v if v is larger, returning true when
-// the store happened.
-func MaxInt32(addr *int32, v int32) bool {
-	for {
-		old := atomic.LoadInt32(addr)
-		if v <= old {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(addr, old, v) {
-			return true
-		}
-	}
-}
-
-// CASInt32 wraps atomic.CompareAndSwapInt32 for symmetry with the helpers
-// above; BFS uses it to claim unvisited vertices exactly once.
-func CASInt32(addr *int32, old, new int32) bool {
-	return atomic.CompareAndSwapInt32(addr, old, new)
 }

@@ -2,8 +2,8 @@
 // are written against. It substitutes goroutines scheduled over GOMAXPROCS
 // workers for the Cray XMT's hardware thread streams: parallel loops are
 // dynamically self-scheduled in chunks, and the only synchronization the
-// kernels need is atomic fetch-and-add (plus an atomic float64 accumulate),
-// mirroring the paper's stated hardware requirements.
+// kernels need is atomic fetch-and-add and compare-and-swap, mirroring the
+// paper's stated hardware requirements.
 package par
 
 import (

@@ -157,22 +157,6 @@ func TestReduceParallelWithPinnedWorkers(t *testing.T) {
 	}
 }
 
-func TestAddFloat64Concurrent(t *testing.T) {
-	var acc uint64
-	For(100000, func(i int) { AddFloat64(&acc, 0.5) })
-	if got := LoadFloat64(&acc); got != 50000 {
-		t.Fatalf("accumulated %v, want 50000", got)
-	}
-}
-
-func TestStoreLoadFloat64(t *testing.T) {
-	var acc uint64
-	StoreFloat64(&acc, 3.25)
-	if got := LoadFloat64(&acc); got != 3.25 {
-		t.Fatalf("LoadFloat64 = %v, want 3.25", got)
-	}
-}
-
 func TestMinInt32(t *testing.T) {
 	v := int32(10)
 	if !MinInt32(&v, 3) || v != 3 {
@@ -186,34 +170,11 @@ func TestMinInt32(t *testing.T) {
 	}
 }
 
-func TestMaxInt32(t *testing.T) {
-	v := int32(10)
-	if !MaxInt32(&v, 30) || v != 30 {
-		t.Fatalf("MaxInt32 raise: v=%d", v)
-	}
-	if MaxInt32(&v, 5) || v != 30 {
-		t.Fatalf("MaxInt32 should not lower: v=%d", v)
-	}
-}
-
 func TestMinInt32ConcurrentConverges(t *testing.T) {
 	v := int32(1 << 30)
 	For(10000, func(i int) { MinInt32(&v, int32(i)) })
 	if v != 0 {
 		t.Fatalf("concurrent min = %d, want 0", v)
-	}
-}
-
-func TestCASInt32(t *testing.T) {
-	v := int32(-1)
-	if !CASInt32(&v, -1, 7) {
-		t.Fatal("CAS from -1 failed")
-	}
-	if CASInt32(&v, -1, 9) {
-		t.Fatal("CAS from stale value succeeded")
-	}
-	if v != 7 {
-		t.Fatalf("v = %d, want 7", v)
 	}
 }
 

@@ -4,9 +4,9 @@
 # 1. Memory-layout ablation: runs cmd/bench with the committed report's
 #    exact configuration (R-MAT scale 16, seed 1, 32 sampled sources,
 #    GOMAXPROCS=4, k=1, best-of-3 reps) and refreshes BENCH_PR7.json at
-#    the repo root, printing the ablation table — baseline / reorder /
-#    reorder+compact / reorder+compact+arena / default. Pass cmd/bench
-#    flags to override, e.g.:
+#    the repo root, printing the ablation table — baseline /
+#    reorder+compact / reorder (default). Pass cmd/bench flags to
+#    override, e.g.:
 #
 #      scripts/bench.sh                    # full acceptance run
 #      scripts/bench.sh -scale 14 -out -   # quicker, print JSON to stdout
