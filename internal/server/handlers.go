@@ -20,7 +20,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.pool, s.ingest, s.cache, s.breakers, s.limiter))
+	writeJSON(w, http.StatusOK, s.metrics.doc(s.pool, s.ingest, s.cache, s.breakers, s.limiter))
 }
 
 type graphInfo struct {
@@ -199,10 +199,11 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no graph %q", name)
 		return
 	}
+	q := r.URL.Query() // parsed once: every request, cache hits included, pays for it
 	// ?epoch=E pins the request to a durable point-in-time snapshot
 	// instead of the current entry (which stays the default).
 	historical := false
-	if v := r.URL.Query().Get("epoch"); v != "" {
+	if v := q.Get("epoch"); v != "" {
 		epoch, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad epoch %q", v)
@@ -232,7 +233,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	params, run, err := s.parseKernel(kernel, e, r.URL.Query())
+	params, run, err := s.parseKernel(kernel, e, q)
 	if err != nil {
 		if errors.Is(err, errUnknownKernel) {
 			writeError(w, http.StatusNotFound, "unknown kernel %q", kernel)
@@ -244,7 +245,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 	// Validate the deadline before the cache lookup so a malformed
 	// timeout_ms is a 400 regardless of whether the result is cached.
 	timeout := s.cfg.DefaultTimeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
+	if v := q.Get("timeout_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
 		if err != nil || ms <= 0 {
 			writeError(w, http.StatusBadRequest, "bad timeout_ms %q", v)
@@ -253,12 +254,12 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
 	staleOK := false
-	switch r.URL.Query().Get("stale") {
+	switch q.Get("stale") {
 	case "", "deny":
 	case "allow":
 		staleOK = true
 	default:
-		writeError(w, http.StatusBadRequest, "bad stale %q (want allow or deny)", r.URL.Query().Get("stale"))
+		writeError(w, http.StatusBadRequest, "bad stale %q (want allow or deny)", q.Get("stale"))
 		return
 	}
 	// Classify before any resource is consumed: the class decides which

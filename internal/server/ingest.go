@@ -38,13 +38,12 @@ type Live struct {
 	dedupNext int
 
 	// Durability state, guarded by mu like the stream. wal is the open
-	// log segment (nil when the server has no data directory);
-	// durableEpoch is the snapshot epoch that segment extends; walFailed
-	// records a failed append and forces the next opportunity to publish
-	// a snapshot, bounding the window of acked-but-unlogged batches.
-	wal          *wal.Log
-	durableEpoch uint64
-	walFailed    bool
+	// log segment (nil when the server has no data directory), based at
+	// the snapshot epoch it extends; walFailed records a failed append and
+	// forces the next opportunity to publish a snapshot, bounding the
+	// window of acked-but-unlogged batches.
+	wal       *wal.Log
+	walFailed bool
 
 	// replica marks a live graph maintained by the follower tailer: its
 	// only writer is the replication stream, so direct ingest and forced
@@ -57,8 +56,13 @@ type Live struct {
 const dedupWindow = 1024
 
 // remember records id's result in the idempotency window, evicting the
-// oldest remembered batch once the window is full. Callers hold l.mu.
+// oldest remembered batch once the window is full. Callers hold l.mu and
+// have already made the batch durable: a remembered id answers its retry
+// without applying or logging anything.
 func (l *Live) remember(id string, res ingestResult) {
+	if id == "" {
+		return // untagged batches are not deduplicated
+	}
 	if l.dedup == nil {
 		l.dedup = make(map[string]ingestResult, dedupWindow)
 	}
@@ -162,11 +166,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if err := s.ingest.Acquire(r.Context()); err != nil {
+	if err := s.ingest.Acquire(r.Context(), ClassCheap); err != nil {
 		s.writeIngestError(w, err)
 		return
 	}
-	defer s.ingest.Release()
+	defer s.ingest.Release(ClassCheap)
 	if s.beforeIngest != nil {
 		s.beforeIngest(name)
 	}
@@ -192,43 +196,75 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // errIngestPanic marks a batch application that panicked and was isolated.
 var errIngestPanic = errors.New("ingest panicked")
 
-// applyIngest is the writer critical section: dedup check, batch
-// application, snapshot-on-threshold and idempotency recording all happen
-// under the live graph's writer lock, with panic isolation so a bug (or
-// injected panic) in the apply path poisons one batch, not the daemon.
-func (s *Server) applyIngest(name string, live *Live, batchID string, batch []stream.Update) (out ingestResult, dup bool, err error) {
-	live.mu.Lock()
-	defer live.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.IngestPanics.Add(1)
-			err = fmt.Errorf("%w: %v", errIngestPanic, r)
-		}
-	}()
-	if batchID != "" {
-		if prev, ok := live.dedup[batchID]; ok {
+// isolateIngestPanic, deferred, turns a panic in the write path into
+// errIngestPanic on *err, so a bug (or injected panic) poisons one batch —
+// one request, one follower sync pass, one graph's recovery — not the
+// daemon.
+func (m *Metrics) isolateIngestPanic(err *error) {
+	if r := recover(); r != nil {
+		m.IngestPanics.Add(1)
+		*err = fmt.Errorf("%w: %v", errIngestPanic, r)
+	}
+}
+
+// apply is what applying one batch to a live graph means, for every driver
+// of the write path — leader ingest, the follower tailer, crash recovery:
+// answer a batch id still in the idempotency window from the window (dup),
+// otherwise apply the batch with panic isolation and build its result.
+// Epoch, Pending and Snapshotted are left for the leader, the only driver
+// that publishes. The id is not claimed here but by the driver, after its
+// own durable steps: the retry of a batch that failed past this point
+// re-applies (a no-op per edge) and is logged, never answered unlogged.
+// Callers hold l.mu (recovery owns its unpublished Live).
+func (l *Live) apply(m *Metrics, id string, batch []stream.Update) (out ingestResult, dup bool, err error) {
+	defer m.isolateIngestPanic(&err)
+	if id != "" {
+		if prev, ok := l.dedup[id]; ok {
 			return prev, true, nil
 		}
 	}
-	// Re-resolve the entry under the lock: another batch may have
-	// published a newer epoch between routing and admission.
-	epoch := uint64(0)
-	if e, ok := s.reg.Get(name); ok {
-		epoch = e.Epoch
-	}
-	start := time.Now()
-	res, err := live.st.ApplyBatch(batch)
-	applyDur := time.Since(start)
+	res, err := l.st.ApplyBatch(batch)
 	if err != nil {
 		return ingestResult{}, false, err
 	}
-	out = ingestResult{
+	return ingestResult{
 		Accepted: len(batch),
 		Inserted: res.Inserted,
 		Deleted:  res.Deleted,
 		Ignored:  res.Ignored,
-		Edges:    live.st.NumEdges(),
-		Epoch:    epoch,
+		Edges:    l.st.NumEdges(),
+	}, false, nil
+}
+
+// replay applies one logged record and remembers its result at once: the
+// whole write path of the follower tailer and of crash recovery, whose
+// records are already durable in the log they were read from.
+func (l *Live) replay(m *Metrics, rec wal.Record) error {
+	out, dup, err := l.apply(m, rec.BatchID, rec.Updates)
+	if err == nil && !dup {
+		l.remember(rec.BatchID, out)
+	}
+	return err
+}
+
+// applyIngest is the leader's writer critical section: apply, then what
+// only a leader does — log the batch, snapshot on threshold, and only then
+// remember the completed result — all under the live graph's writer lock,
+// with the publication under the same panic isolation as the apply.
+func (s *Server) applyIngest(name string, live *Live, batchID string, batch []stream.Update) (out ingestResult, dup bool, err error) {
+	live.mu.Lock()
+	defer live.mu.Unlock()
+	defer s.metrics.isolateIngestPanic(&err)
+	start := time.Now()
+	out, dup, err = live.apply(s.metrics, batchID, batch)
+	applyDur := time.Since(start)
+	if dup || err != nil {
+		return out, dup, err
+	}
+	// Re-resolve the entry under the lock: another batch may have
+	// published a newer epoch between routing and admission.
+	if e, ok := s.reg.Get(name); ok {
+		out.Epoch = e.Epoch
 	}
 	// Log the applied batch before acking. An append failure does not fail
 	// the request (the batch is applied and the response truthful); it
@@ -249,12 +285,10 @@ func (s *Server) applyIngest(name string, live *Live, batchID string, batch []st
 		}
 	}
 	out.Pending = live.st.PendingUpdates()
-	if batchID != "" {
-		live.remember(batchID, out)
-	}
+	live.remember(batchID, out)
 	s.metrics.IngestBatches.Add(1)
 	s.metrics.IngestUpdates.Add(int64(len(batch)))
-	s.metrics.IngestMutations.Add(int64(res.Inserted + res.Deleted))
+	s.metrics.IngestMutations.Add(int64(out.Inserted + out.Deleted))
 	s.metrics.ObserveLatency("ingest", applyDur)
 	return out, false, nil
 }
@@ -293,12 +327,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) forceSnapshot(name string, live *Live, epoch uint64) (out ingestResult, err error) {
 	live.mu.Lock()
 	defer live.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.IngestPanics.Add(1)
-			err = fmt.Errorf("%w: %v", errIngestPanic, r)
-		}
-	}()
+	defer s.metrics.isolateIngestPanic(&err)
 	out = ingestResult{Edges: live.st.NumEdges(), Epoch: epoch}
 	if live.st.PendingUpdates() > 0 || live.walFailed {
 		ne, ok := s.publishSnapshot(name, live)
@@ -333,7 +362,7 @@ func (s *Server) publishSnapshot(name string, live *Live) (uint64, bool) {
 	s.metrics.Snapshots.Add(1)
 	s.metrics.ObserveLatency("snapshot", time.Since(start))
 	if live.wal != nil {
-		s.persistEpoch(name, live, ne.Epoch)
+		s.persistEpoch(ne)
 	}
 	return ne.Epoch, true
 }

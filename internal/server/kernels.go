@@ -121,15 +121,7 @@ func (s *Server) parseKernel(kernel string, e *GraphEntry, q url.Values) (string
 				if err != nil {
 					return nil, err
 				}
-				type scored struct {
-					Vertex int32   `json:"vertex"`
-					Score  float64 `json:"score"`
-				}
-				ranked := make([]scored, 0, top)
-				for _, v := range res.TopK(top) {
-					ranked = append(ranked, scored{Vertex: e.ToExternal(v), Score: res.Scores[v]})
-				}
-				return map[string]any{"k": 0, "top": ranked, "guarantee": res.Guarantee}, nil
+				return map[string]any{"k": 0, "top": topScored(e, &res.Result, top), "guarantee": res.Guarantee}, nil
 			}, nil
 		}
 		return fmt.Sprintf("k=%d&samples=%d&top=%d", k, samples, top), func(ctx context.Context) (any, error) {
@@ -141,17 +133,7 @@ func (s *Server) parseKernel(kernel string, e *GraphEntry, q url.Values) (string
 			if err != nil {
 				return nil, err
 			}
-			type scored struct {
-				Vertex int32   `json:"vertex"`
-				Score  float64 `json:"score"`
-			}
-			ranked := make([]scored, 0, top)
-			for _, v := range res.TopK(top) {
-				// Translate to client-visible ids: a reorder-relabeled
-				// graph must never leak internal labels.
-				ranked = append(ranked, scored{Vertex: e.ToExternal(v), Score: res.Scores[v]})
-			}
-			return map[string]any{"k": k, "sources": len(res.Sources), "top": ranked}, nil
+			return map[string]any{"k": k, "sources": len(res.Sources), "top": topScored(e, res, top)}, nil
 		}, nil
 	case "bfs":
 		src, err := vertexParam(q, "src", g.NumVertices())
@@ -194,6 +176,22 @@ func (s *Server) parseKernel(kernel string, e *GraphEntry, q url.Values) (string
 }
 
 var errUnknownKernel = errors.New("unknown kernel")
+
+// scored is one row of a centrality ranking.
+type scored struct {
+	Vertex int32   `json:"vertex"`
+	Score  float64 `json:"score"`
+}
+
+// topScored ranks res's top vertices, translated to client-visible ids: a
+// reorder-relabeled graph must never leak internal labels.
+func topScored(e *GraphEntry, res *bc.Result, top int) []scored {
+	ranked := make([]scored, 0, top)
+	for _, v := range res.TopK(top) {
+		ranked = append(ranked, scored{Vertex: e.ToExternal(v), Score: res.Scores[v]})
+	}
+	return ranked
+}
 
 func intParam(q url.Values, name string, def int) (int, error) {
 	v := q.Get(name)

@@ -2,10 +2,15 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 
 	"graphct/internal/api"
 )
+
+// ErrQueueFull rejects a request when its admission queue is at capacity —
+// the server's backpressure signal, mapped to HTTP 429.
+var ErrQueueFull = errors.New("server: admission queue full")
 
 // QoS cost classes. Every kernel request is classified before admission
 // and the class travels with the response as X-Graphct-Class, so clients
@@ -30,20 +35,25 @@ func costClass(kernel string) string {
 	return ClassCheap
 }
 
-// LanePool is the QoS-aware admission pool: at most maxRunning kernels
-// execute at once, and when a cheap reservation is configured, at most
-// maxRunning-reserved of those slots may be held by expensive-class
-// kernels. The reservation is what keeps millions of cheap stat reads
-// responsive while sparse betweenness requests run: however saturated the
-// expensive lane is — every allowed slot held, more queued — a cheap
-// request still finds a free slot, because expensive admissions are
-// capped below the total.
+// LanePool is the admission pool, used twice per server: QoS-aware for
+// kernels, laneless for ingest batches. At most maxRunning kernels execute
+// at once (each already parallelizes internally via internal/par, so
+// running many concurrently would oversubscribe the machine and balloon
+// working memory), at most maxQueued further requests wait for a slot, and
+// requests beyond that are rejected immediately rather than piling up.
+// When a cheap reservation is configured, at most maxRunning-reserved of
+// the slots may be held by expensive-class kernels. The reservation is
+// what keeps millions of cheap stat reads responsive while sparse
+// betweenness requests run: however saturated the expensive lane is —
+// every allowed slot held, more queued — a cheap request still finds a
+// free slot, because expensive admissions are capped below the total.
 //
 // Each class also queues separately (maxQueued waiters per lane), so a
 // burst of expensive requests fills the expensive queue and starts
 // returning 429 without consuming the cheap lane's queue capacity.
 // reserved <= 0 disables the lanes entirely: one shared slot pool, one
-// shared queue bound — bit-compatible with the pre-QoS Pool.
+// shared queue bound, the class argument ignored — which is the ingest
+// pool.
 type LanePool struct {
 	slots     chan struct{} // total concurrency
 	expensive chan struct{} // nil when lanes are disabled; caps expensive slot-holders
@@ -58,7 +68,7 @@ type LanePool struct {
 // NewLanePool returns a pool running at most maxRunning kernels with at
 // most maxQueued waiters per lane, reserving reserved slots for
 // cheap-class kernels. Non-positive maxRunning/maxQueued default to 2
-// and 16 (matching NewPool); reserved is clamped so at least one slot
+// and 16; reserved is clamped so at least one slot
 // remains available to the expensive class.
 func NewLanePool(maxRunning, reserved, maxQueued int) *LanePool {
 	if maxRunning <= 0 {
@@ -84,9 +94,9 @@ func NewLanePool(maxRunning, reserved, maxQueued int) *LanePool {
 // Reserved returns the cheap-only slot count (0 = lanes disabled).
 func (p *LanePool) Reserved() int { return p.reserved }
 
-// admit claims a token from lane, queueing under waiting against maxQ —
-// the same fast-path/bounded-queue protocol as Pool.Acquire.
+// admit claims a token from lane, queueing under waiting against maxQ.
 func (p *LanePool) admit(ctx context.Context, lane chan struct{}, waiting *atomic.Int64) error {
+	// Fast path: a free slot admits without queuing.
 	select {
 	case lane <- struct{}{}:
 		return nil

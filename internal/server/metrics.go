@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +48,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 			continue
 		}
 		if i < len(latencyBuckets) {
-			s.Buckets[msLabel(latencyBuckets[i])] = c
+			s.Buckets[strconv.FormatInt(latencyBuckets[i], 10)+"ms"] = c
 		} else {
 			s.Buckets["+Inf"] = c
 		}
@@ -55,59 +56,57 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-func msLabel(ms int64) string {
-	// strconv-free small formatter keeps this file self-contained.
-	if ms == 0 {
-		return "0ms"
-	}
-	var buf [24]byte
-	i := len(buf)
-	for v := ms; v > 0; v /= 10 {
-		i--
-		buf[i] = byte('0' + v%10)
-	}
-	return string(buf[i:]) + "ms"
+// counter is one /metrics counter: an atomic the serving path bumps, which
+// encodes itself as a JSON number. Its wire name is the tag at its
+// declaration in Metrics (or RouterMetrics) — the only place it is named.
+type counter struct{ atomic.Int64 }
+
+// MarshalJSON implements json.Marshaler.
+func (c *counter) MarshalJSON() ([]byte, error) {
+	return strconv.AppendInt(nil, c.Load(), 10), nil
 }
 
-// Metrics aggregates the serving-path counters exposed at /metrics.
+// Metrics aggregates the serving-path counters exposed at /metrics. Each
+// counter is declared — field, wire name, meaning — on one line here;
+// /metrics encodes this struct as it stands (see metricsDoc).
 type Metrics struct {
-	Requests  atomic.Int64 // kernel requests accepted into the serving path
-	CacheHits atomic.Int64
-	CacheMiss atomic.Int64
-	Coalesced atomic.Int64 // requests satisfied by another caller's run
-	Rejected  atomic.Int64 // 429s from the admission queue
-	Canceled  atomic.Int64 // kernels stopped by deadline/cancellation
+	Requests  counter `json:"requests"` // kernel requests accepted into the serving path
+	CacheHits counter `json:"cache_hits"`
+	CacheMiss counter `json:"cache_misses"`
+	Coalesced counter `json:"coalesced"` // requests satisfied by another caller's run
+	Rejected  counter `json:"rejected"`  // 429s from the admission queue
+	Canceled  counter `json:"canceled"`  // kernels stopped by deadline/cancellation
 
-	KernelPanics    atomic.Int64 // kernel panics isolated by recover (500, not a crash)
-	BreakerRejected atomic.Int64 // 503s from open circuit breakers
-	StaleServed     atomic.Int64 // rejected requests answered from the stale cache
-	CacheDropped    atomic.Int64 // cache insertions dropped (cache.put failpoint)
-	RateLimited     atomic.Int64 // 429s from per-client token buckets
-	CacheOversized  atomic.Int64 // results served but too large for cache admission
+	KernelPanics    counter `json:"kernel_panics"`     // kernel panics isolated by recover (500, not a crash)
+	BreakerRejected counter `json:"breaker_rejected"`  // 503s from open circuit breakers
+	StaleServed     counter `json:"stale_served"`      // rejected requests answered from the stale cache
+	CacheDropped    counter `json:"cache_put_dropped"` // cache insertions dropped (cache.put failpoint)
+	RateLimited     counter `json:"rate_limited"`      // 429s from per-client token buckets
+	CacheOversized  counter `json:"cache_oversized"`   // results served but too large for cache admission
 
-	IngestBatches     atomic.Int64 // update batches applied to live graphs
-	IngestUpdates     atomic.Int64 // updates accepted inside those batches
-	IngestMutations   atomic.Int64 // effective edge insertions + deletions
-	IngestRejected    atomic.Int64 // 429s from the ingest queue
-	IngestDeduped     atomic.Int64 // batches answered from the idempotency window
-	IngestPanics      atomic.Int64 // ingest panics isolated by recover
-	Snapshots         atomic.Int64 // epoch snapshots published
-	SnapshotsDeferred atomic.Int64 // publications skipped (snapshot.publish failpoint)
+	IngestBatches     counter `json:"ingest_batches"`     // update batches applied to live graphs
+	IngestUpdates     counter `json:"ingest_updates"`     // updates accepted inside those batches
+	IngestMutations   counter `json:"ingest_mutations"`   // effective edge insertions + deletions
+	IngestRejected    counter `json:"ingest_rejected"`    // 429s from the ingest queue
+	IngestDeduped     counter `json:"ingest_deduped"`     // batches answered from the idempotency window
+	IngestPanics      counter `json:"ingest_panics"`      // ingest panics isolated by recover
+	Snapshots         counter `json:"snapshots"`          // epoch snapshots published
+	SnapshotsDeferred counter `json:"snapshots_deferred"` // publications skipped (snapshot.publish failpoint)
 
-	WALAppends         atomic.Int64 // batches durably logged
-	WALErrors          atomic.Int64 // failed log appends (batch applied, durability deferred)
-	WALTornTails       atomic.Int64 // recoveries that stopped at a damaged log tail
-	SnapshotsPersisted atomic.Int64 // epoch snapshots committed to the blob store
-	SnapshotBytes      atomic.Int64 // total bytes of persisted snapshots
-	PersistErrors      atomic.Int64 // failed snapshot commits / log rotations
-	RecoveredGraphs    atomic.Int64 // live graphs rebuilt at boot
-	RecoveredBatches   atomic.Int64 // logged batches replayed at boot
-	RecoveryMs         atomic.Int64 // wall time of the last RecoverAll
+	WALAppends         counter `json:"wal_appends"`         // batches durably logged
+	WALErrors          counter `json:"wal_errors"`          // failed log appends (batch applied, durability deferred)
+	WALTornTails       counter `json:"wal_torn_tails"`      // recoveries that stopped at a damaged log tail
+	SnapshotsPersisted counter `json:"snapshots_persisted"` // epoch snapshots committed to the blob store
+	SnapshotBytes      counter `json:"snapshot_bytes"`      // total bytes of persisted snapshots
+	PersistErrors      counter `json:"persist_errors"`      // failed snapshot commits / log rotations
+	RecoveredGraphs    counter `json:"recovered_graphs"`    // live graphs rebuilt at boot
+	RecoveredBatches   counter `json:"recovered_batches"`   // logged batches replayed at boot
+	RecoveryMs         counter `json:"recovery_ms"`         // wall time of the last RecoverAll
 
-	ReplicaBootstraps atomic.Int64 // follower graph (re-)bootstraps from a leader snapshot
-	ReplicaBatches    atomic.Int64 // WAL records applied by the follower tailer
-	ReplicaEpochs     atomic.Int64 // leader epochs pinned by the follower
-	ReplicaErrors     atomic.Int64 // failed follower sync passes
+	ReplicaBootstraps counter `json:"replica_bootstraps"` // follower graph (re-)bootstraps from a leader snapshot
+	ReplicaBatches    counter `json:"replica_batches"`    // WAL records applied by the follower tailer
+	ReplicaEpochs     counter `json:"replica_epochs"`     // leader epochs pinned by the follower
+	ReplicaErrors     counter `json:"replica_errors"`     // failed follower sync passes
 
 	mu         sync.Mutex
 	kernelRuns map[string]*atomic.Int64
@@ -156,27 +155,18 @@ func (m *Metrics) ObserveLatency(kernel string, d time.Duration) {
 	h.Observe(d)
 }
 
-// MetricsSnapshot is the JSON document served at /metrics.
-type MetricsSnapshot struct {
-	Requests   int64 `json:"requests"`
-	CacheHits  int64 `json:"cache_hits"`
-	CacheMiss  int64 `json:"cache_misses"`
-	Coalesced  int64 `json:"coalesced"`
-	Rejected   int64 `json:"rejected"`
-	Canceled   int64 `json:"canceled"`
-	QueueDepth int64 `json:"queue_depth"`
-	Running    int   `json:"running"`
-	CacheBytes int64 `json:"cache_bytes"`
-	CacheItems int   `json:"cache_items"`
+// metricsDoc is the JSON document served at /metrics: the live counters,
+// flattened in under their own wire names and read when it is encoded,
+// plus the gauges read from the components that own them when it is built.
+type metricsDoc struct {
+	*Metrics
 
-	KernelPanics    int64 `json:"kernel_panics"`
-	BreakerRejected int64 `json:"breaker_rejected"`
-	BreakerTrips    int64 `json:"breaker_trips"`
-	StaleServed     int64 `json:"stale_served"`
-	CacheDropped    int64 `json:"cache_put_dropped"`
-	RateLimited     int64 `json:"rate_limited"`
-	CacheOversized  int64 `json:"cache_oversized"`
-	RateClients     int   `json:"rate_limit_clients"`
+	QueueDepth   int64 `json:"queue_depth"`
+	Running      int   `json:"running"`
+	CacheBytes   int64 `json:"cache_bytes"`
+	CacheItems   int   `json:"cache_items"`
+	BreakerTrips int64 `json:"breaker_trips"`
+	RateClients  int   `json:"rate_limit_clients"`
 
 	// QoS lane gauges: zero-valued with lanes disabled (CheapReserved 0).
 	CheapReserved    int   `json:"cheap_reserved"`
@@ -184,100 +174,33 @@ type MetricsSnapshot struct {
 	ExpQueueDepth    int64 `json:"expensive_queue_depth"`
 	ExpensiveRunning int64 `json:"expensive_running"`
 
-	IngestBatches     int64 `json:"ingest_batches"`
-	IngestUpdates     int64 `json:"ingest_updates"`
-	IngestMutations   int64 `json:"ingest_mutations"`
-	IngestRejected    int64 `json:"ingest_rejected"`
-	IngestDeduped     int64 `json:"ingest_deduped"`
-	IngestPanics      int64 `json:"ingest_panics"`
-	Snapshots         int64 `json:"snapshots"`
-	SnapshotsDeferred int64 `json:"snapshots_deferred"`
-	IngestQueueDepth  int64 `json:"ingest_queue_depth"`
-	IngestRunning     int   `json:"ingest_running"`
-
-	WALAppends         int64 `json:"wal_appends"`
-	WALErrors          int64 `json:"wal_errors"`
-	WALTornTails       int64 `json:"wal_torn_tails"`
-	SnapshotsPersisted int64 `json:"snapshots_persisted"`
-	SnapshotBytes      int64 `json:"snapshot_bytes"`
-	PersistErrors      int64 `json:"persist_errors"`
-	RecoveredGraphs    int64 `json:"recovered_graphs"`
-	RecoveredBatches   int64 `json:"recovered_batches"`
-	RecoveryMs         int64 `json:"recovery_ms"`
-
-	ReplicaBootstraps int64 `json:"replica_bootstraps"`
-	ReplicaBatches    int64 `json:"replica_batches"`
-	ReplicaEpochs     int64 `json:"replica_epochs"`
-	ReplicaErrors     int64 `json:"replica_errors"`
+	IngestQueueDepth int64 `json:"ingest_queue_depth"`
+	IngestRunning    int   `json:"ingest_running"`
 
 	KernelRuns map[string]int64             `json:"kernel_runs,omitempty"`
 	LatencyMs  map[string]HistogramSnapshot `json:"latency_ms,omitempty"`
 }
 
-// Snapshot captures the current counters plus the gauges owned by the
-// two admission pools, the cache, the breaker set and the rate limiter.
-func (m *Metrics) Snapshot(pool *LanePool, ingest *Pool, cache *Cache, breakers *BreakerSet, limiter *RateLimiter) MetricsSnapshot {
-	s := MetricsSnapshot{
-		Requests:          m.Requests.Load(),
-		CacheHits:         m.CacheHits.Load(),
-		CacheMiss:         m.CacheMiss.Load(),
-		Coalesced:         m.Coalesced.Load(),
-		Rejected:          m.Rejected.Load(),
-		Canceled:          m.Canceled.Load(),
-		KernelPanics:      m.KernelPanics.Load(),
-		BreakerRejected:   m.BreakerRejected.Load(),
-		StaleServed:       m.StaleServed.Load(),
-		CacheDropped:      m.CacheDropped.Load(),
-		RateLimited:       m.RateLimited.Load(),
-		CacheOversized:    m.CacheOversized.Load(),
-		IngestBatches:     m.IngestBatches.Load(),
-		IngestUpdates:     m.IngestUpdates.Load(),
-		IngestMutations:   m.IngestMutations.Load(),
-		IngestRejected:    m.IngestRejected.Load(),
-		IngestDeduped:     m.IngestDeduped.Load(),
-		IngestPanics:      m.IngestPanics.Load(),
-		Snapshots:         m.Snapshots.Load(),
-		SnapshotsDeferred: m.SnapshotsDeferred.Load(),
-
-		WALAppends:         m.WALAppends.Load(),
-		WALErrors:          m.WALErrors.Load(),
-		WALTornTails:       m.WALTornTails.Load(),
-		SnapshotsPersisted: m.SnapshotsPersisted.Load(),
-		SnapshotBytes:      m.SnapshotBytes.Load(),
-		PersistErrors:      m.PersistErrors.Load(),
-		RecoveredGraphs:    m.RecoveredGraphs.Load(),
-		RecoveredBatches:   m.RecoveredBatches.Load(),
-		RecoveryMs:         m.RecoveryMs.Load(),
-
-		ReplicaBootstraps: m.ReplicaBootstraps.Load(),
-		ReplicaBatches:    m.ReplicaBatches.Load(),
-		ReplicaEpochs:     m.ReplicaEpochs.Load(),
-		ReplicaErrors:     m.ReplicaErrors.Load(),
-
-		KernelRuns:        make(map[string]int64),
-		LatencyMs:         make(map[string]HistogramSnapshot),
+// doc pairs the live counters with the gauges owned by the two admission
+// pools, the cache, the breaker set and the rate limiter (nil when
+// limiting is off) of the server m belongs to.
+func (m *Metrics) doc(pool, ingest *LanePool, cache *Cache, breakers *BreakerSet, limiter *RateLimiter) metricsDoc {
+	s := metricsDoc{
+		Metrics:          m,
+		QueueDepth:       pool.QueueDepth(),
+		Running:          pool.Running(),
+		CacheBytes:       cache.Bytes(),
+		CacheItems:       cache.Len(),
+		BreakerTrips:     breakers.Trips(),
+		RateClients:      limiter.Clients(),
+		CheapReserved:    pool.Reserved(),
+		ExpensiveRunning: pool.ExpensiveRunning(),
+		IngestQueueDepth: ingest.QueueDepth(),
+		IngestRunning:    ingest.Running(),
+		KernelRuns:       make(map[string]int64),
+		LatencyMs:        make(map[string]HistogramSnapshot),
 	}
-	if breakers != nil {
-		s.BreakerTrips = breakers.Trips()
-	}
-	if pool != nil {
-		s.QueueDepth = pool.QueueDepth()
-		s.Running = pool.Running()
-		s.CheapReserved = pool.Reserved()
-		s.CheapQueueDepth, s.ExpQueueDepth = pool.LaneDepths()
-		s.ExpensiveRunning = pool.ExpensiveRunning()
-	}
-	if limiter != nil {
-		s.RateClients = limiter.Clients()
-	}
-	if ingest != nil {
-		s.IngestQueueDepth = ingest.QueueDepth()
-		s.IngestRunning = ingest.Running()
-	}
-	if cache != nil {
-		s.CacheBytes = cache.Bytes()
-		s.CacheItems = cache.Len()
-	}
+	s.CheapQueueDepth, s.ExpQueueDepth = pool.LaneDepths()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, c := range m.kernelRuns {

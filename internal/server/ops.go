@@ -23,7 +23,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		})
 	case !s.pool.Accepting() || !s.ingest.Accepting():
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "saturated",
+			"status":             "saturated",
 			"queue_depth":        s.pool.QueueDepth(),
 			"ingest_queue_depth": s.ingest.QueueDepth(),
 		})

@@ -124,19 +124,39 @@ func (s *Server) AddLive(name string, n int) (*GraphEntry, error) {
 	if !s.durable() {
 		return e, nil
 	}
-	if err := s.initDurable(name, e); err != nil {
+	e.Live.mu.Lock()
+	err = s.commitEpoch(e)
+	e.Live.mu.Unlock()
+	if err != nil {
 		s.reg.Remove(name)
 		return nil, fmt.Errorf("persist live graph %q: %w", name, err)
 	}
 	return e, nil
 }
 
-// initDurable writes entry's snapshot and opens a log segment based at
-// its epoch, attaching the log to the live graph.
-func (s *Server) initDurable(name string, e *GraphEntry) error {
-	e.Live.mu.Lock()
-	defer e.Live.mu.Unlock()
-	data, err := blob.EncodeSnapshot(blob.Snapshot{Epoch: e.Epoch, LastTime: e.Live.st.LastTime(), Graph: e.Graph})
+// persistEpoch runs inside the writer critical section right after an
+// in-memory epoch publication and commits the entry as the durable
+// baseline. A failed commit is counted and retried wholesale at the next
+// publication.
+func (s *Server) persistEpoch(ne *GraphEntry) {
+	if cur, ok := s.reg.Get(ne.Name); !ok || cur != ne {
+		return // deleted (or replaced) mid-publication; nothing to persist
+	}
+	if err := s.commitEpoch(ne); err != nil {
+		s.metrics.PersistErrors.Add(1)
+	}
+}
+
+// commitEpoch makes e, the entry just published for its live graph, the
+// graph's durable baseline: commit its snapshot to the store, rotate the
+// log onto the new base — for a new or recovered graph, open its first
+// segment — then discard segments and snapshots the new snapshot made
+// redundant. Callers hold e.Live.mu. Any failure leaves the previous
+// segment accumulating (recovery falls back to the older snapshot plus a
+// longer tail).
+func (s *Server) commitEpoch(e *GraphEntry) error {
+	name, live := e.Name, e.Live
+	data, err := blob.EncodeSnapshot(blob.Snapshot{Epoch: e.Epoch, LastTime: live.st.LastTime(), Graph: e.Graph})
 	if err != nil {
 		return err
 	}
@@ -145,48 +165,20 @@ func (s *Server) initDurable(name string, e *GraphEntry) error {
 	}
 	s.metrics.SnapshotsPersisted.Add(1)
 	s.metrics.SnapshotBytes.Add(int64(len(data)))
-	l, err := wal.Create(s.walPath(name, e.Epoch), e.Epoch)
+
+	nl, err := wal.Create(s.walPath(name, e.Epoch), e.Epoch)
 	if err != nil {
+		// The snapshot committed, so recovery would start from it and skip
+		// whatever the previous segment goes on to log: force another
+		// publication to retry the rotation.
+		if live.wal != nil {
+			live.walFailed = true
+		}
 		return err
-	}
-	e.Live.wal = l
-	e.Live.durableEpoch = e.Epoch
-	return nil
-}
-
-// persistEpoch runs inside the writer critical section right after an
-// in-memory epoch publication: commit the snapshot to the store, rotate
-// the log onto the new base, then discard segments and snapshots the new
-// snapshot made redundant. Any failure leaves the previous segment
-// accumulating (recovery falls back to the older snapshot plus a longer
-// tail) and is retried wholesale at the next publication.
-func (s *Server) persistEpoch(name string, live *Live, epoch uint64) {
-	e, ok := s.reg.Get(name)
-	if !ok || e.Epoch != epoch {
-		return // deleted (or replaced) mid-publication; nothing to persist
-	}
-	data, err := blob.EncodeSnapshot(blob.Snapshot{Epoch: epoch, LastTime: live.st.LastTime(), Graph: e.Graph})
-	if err != nil {
-		s.metrics.PersistErrors.Add(1)
-		return
-	}
-	if err := s.store.Put(snapshotKey(name, epoch), data); err != nil {
-		s.metrics.PersistErrors.Add(1)
-		return
-	}
-	s.metrics.SnapshotsPersisted.Add(1)
-	s.metrics.SnapshotBytes.Add(int64(len(data)))
-
-	nl, err := wal.Create(s.walPath(name, epoch), epoch)
-	if err != nil {
-		s.metrics.PersistErrors.Add(1)
-		live.walFailed = true // force another publication to retry rotation
-		return
 	}
 	old := live.wal
 	incomplete := live.walFailed
-	oldBase := live.durableEpoch
-	live.wal, live.durableEpoch, live.walFailed = nl, epoch, false
+	live.wal, live.walFailed = nl, false
 	if old != nil {
 		old.Close()
 		// A segment missing an acked batch (failed append forced this
@@ -195,10 +187,11 @@ func (s *Server) persistEpoch(name string, live *Live, epoch uint64) {
 		// it turns the follower's next poll into a 410 → snapshot
 		// re-bootstrap, which lands on the correct bits.
 		if incomplete {
-			os.Remove(s.walPath(name, oldBase))
+			os.Remove(old.Path())
 		}
 	}
-	s.pruneDurable(name, epoch)
+	s.pruneDurable(name, e.Epoch)
+	return nil
 }
 
 // pruneDurable removes snapshots beyond the retention window and log
@@ -211,11 +204,7 @@ func (s *Server) pruneDurable(name string, newest uint64) {
 	if err != nil {
 		return
 	}
-	retain := s.retain
-	if retain < 1 {
-		retain = 1
-	}
-	for len(epochs) > retain {
+	for len(epochs) > s.cfg.RetainEpochs { // New clamps it to at least 1
 		if err := s.store.Delete(snapshotKey(name, epochs[0])); err != nil {
 			return
 		}
@@ -315,52 +304,51 @@ func (s *Server) RecoverAll() (int, error) {
 	return recovered, firstErr
 }
 
-// recoverGraph rebuilds one live graph from its durable state.
-func (s *Server) recoverGraph(name string) error {
+// loadNewestSnapshot returns the newest snapshot of name that passes its
+// integrity frames — decoded, and as the raw bytes a follower is shipped —
+// falling back through retained epochs on corruption.
+func (s *Server) loadNewestSnapshot(name string) (blob.Snapshot, []byte, error) {
 	epochs, err := s.durableEpochs(name)
 	if err != nil {
-		return err
+		return blob.Snapshot{}, nil, err
 	}
-	if len(epochs) == 0 {
-		return fmt.Errorf("no durable snapshots")
-	}
-
-	// Load the newest snapshot that passes its integrity frames, falling
-	// back through retained epochs on corruption.
-	var snap blob.Snapshot
-	loaded := false
-	for i := len(epochs) - 1; i >= 0 && !loaded; i-- {
+	for i := len(epochs) - 1; i >= 0; i-- {
 		data, err := s.store.Get(snapshotKey(name, epochs[i]))
 		if err != nil {
 			continue
 		}
-		sn, err := blob.DecodeSnapshot(data)
-		if err != nil {
-			continue
+		if snap, err := blob.DecodeSnapshot(data); err == nil {
+			return snap, data, nil
 		}
-		snap, loaded = sn, true
 	}
-	if !loaded {
-		return fmt.Errorf("no loadable snapshot among %d retained epochs", len(epochs))
-	}
+	return blob.Snapshot{}, nil, fmt.Errorf("no loadable snapshot among %d retained epochs", len(epochs))
+}
 
-	// Rebuild the stream: triangle counts are re-established by an exact
-	// static count, which equals the incrementally maintained counters for
-	// the same adjacency (both are exact integers).
+// liveFromSnapshot rebuilds the mutable half of a live graph from a durable
+// snapshot, for crash recovery and follower bootstrap alike — which is what
+// keeps a replica's materialized snapshots bit-identical to the leader's
+// for the same adjacency. Triangle counts are re-established by an exact
+// static count, which equals the incrementally maintained counters for the
+// same adjacency (both are exact integers).
+func liveFromSnapshot(snap blob.Snapshot, replica bool) *Live {
 	st := stream.FromGraph(snap.Graph)
 	st.Touch(snap.LastTime)
-	live := &Live{st: st}
+	return &Live{st: st, replica: replica}
+}
+
+// recoverGraph rebuilds one live graph from its durable state.
+func (s *Server) recoverGraph(name string) error {
+	snap, _, err := s.loadNewestSnapshot(name)
+	if err != nil {
+		return err
+	}
+	live := liveFromSnapshot(snap, false)
 
 	// Replay segments based at or after the loaded snapshot, in order.
 	// Records already contained in the snapshot (a crash between snapshot
 	// commit and log rotation) re-apply as no-ops; a torn tail stops at
-	// the last intact record. Batch ids are re-remembered so a client
+	// the last intact record. replay re-remembers batch ids, so a client
 	// retrying its in-flight batch across the restart is deduplicated.
-	type remembered struct {
-		id  string
-		res ingestResult
-	}
-	var dedup []remembered
 	segs, err := s.walSegments(name)
 	if err != nil {
 		return err
@@ -371,20 +359,7 @@ func (s *Server) recoverGraph(name string) error {
 			continue
 		}
 		_, n, torn, err := wal.Replay(s.walPath(name, base), func(rec wal.Record) error {
-			res, err := st.ApplyBatch(rec.Updates)
-			if err != nil {
-				return err
-			}
-			if rec.BatchID != "" {
-				dedup = append(dedup, remembered{rec.BatchID, ingestResult{
-					Accepted: len(rec.Updates),
-					Inserted: res.Inserted,
-					Deleted:  res.Deleted,
-					Ignored:  res.Ignored,
-					Edges:    st.NumEdges(),
-				}})
-			}
-			return nil
+			return live.replay(s.metrics, rec)
 		})
 		if err != nil {
 			return err
@@ -396,18 +371,17 @@ func (s *Server) recoverGraph(name string) error {
 	}
 	s.metrics.RecoveredBatches.Add(int64(replayed))
 
-	// Publish the recovered state at a fresh epoch and make it the new
-	// durable baseline.
-	e := s.reg.addEntry(name, st.Snapshot(), live, nil)
-	for i := range dedup {
-		dedup[i].res.Epoch = e.Epoch
-		live.remember(dedup[i].id, dedup[i].res)
+	// Publish the recovered state at a fresh epoch — the one every
+	// remembered result is answered at — and make it the new durable
+	// baseline.
+	live.mu.Lock()
+	defer live.mu.Unlock()
+	e := s.reg.addEntry(name, live.st.Snapshot(), live, nil)
+	for id, res := range live.dedup {
+		res.Epoch = e.Epoch
+		live.dedup[id] = res
 	}
-	if err := s.initDurable(name, e); err != nil {
-		return err
-	}
-	s.pruneDurable(name, e.Epoch)
-	return nil
+	return s.commitEpoch(e)
 }
 
 // epochEntry resolves a point-in-time view: the graph as of durable epoch

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -241,14 +242,51 @@ func TestWarmRestartDedupWindow(t *testing.T) {
 	assertRecoveredMatches(t, s2, "g", cleanReplay(t, vertices, workload, len(workload)))
 }
 
+// TestWarmRestartApplyPanicIsolated: a logged batch that panics during
+// replay (stream.apply armed to panic once) is that graph's recovery error,
+// counted in ingest_panics — not a daemon that dies booting. The durable
+// state is untouched, so a second RecoverAll with the failpoint spent
+// recovers the graph bit-identical to a clean replay.
+func TestWarmRestartApplyPanicIsolated(t *testing.T) {
+	const vertices = 50
+	dir := t.TempDir()
+	workload := soakBatches(41, vertices, 1, 20)
+
+	s1 := newDurableServer(t, dir, Config{SnapshotEvery: 1 << 40})
+	if _, err := s1.AddLive("g", vertices); err != nil {
+		t.Fatal(err)
+	}
+	ingestDirect(t, s1, "g", "b-0", workload[0])
+
+	armFailpoints(t, "stream.apply=panic(recovery chaos)*1")
+	s2 := newDurableServer(t, dir, Config{SnapshotEvery: 1 << 40})
+	if n, err := s2.RecoverAll(); n != 0 || !errors.Is(err, errIngestPanic) {
+		t.Fatalf("RecoverAll over a panicking record = %d, %v; want 0, errIngestPanic", n, err)
+	}
+	if got := s2.metrics.IngestPanics.Load(); got != 1 {
+		t.Fatalf("ingest_panics = %d, want 1", got)
+	}
+	if _, ok := s2.reg.Get("g"); ok {
+		t.Fatal("failed recovery published the graph")
+	}
+
+	if n, err := s2.RecoverAll(); err != nil || n != 1 {
+		t.Fatalf("second RecoverAll = %d, %v; want 1, nil", n, err)
+	}
+	assertRecoveredMatches(t, s2, "g", cleanReplay(t, vertices, workload, 1))
+}
+
 // TestWALFailureForcesDurableSnapshot: when an append fails, the batch is
 // still acked but the same request publishes and persists a snapshot, so
-// the acked batch is durable anyway and a restart recovers it.
+// the acked batch is durable anyway and a restart recovers it. When the
+// append panics instead, the request fails (500) with its batch id
+// unclaimed, so the client's retry is applied and logged — not answered
+// from the idempotency window with nothing on disk.
 func TestWALFailureForcesDurableSnapshot(t *testing.T) {
 	defer failpoint.Default.DisarmAll()
 	const vertices = 40
 	dir := t.TempDir()
-	workload := soakBatches(5, vertices, 4, 10)
+	workload := soakBatches(5, vertices, 5, 10)
 
 	s1 := newDurableServer(t, dir, Config{SnapshotEvery: 1 << 40})
 	if _, err := s1.AddLive("g", vertices); err != nil {
@@ -273,11 +311,25 @@ func TestWALFailureForcesDurableSnapshot(t *testing.T) {
 	ingestDirect(t, s1, "g", "b-2", workload[2])
 	ingestDirect(t, s1, "g", "b-3", workload[3])
 
+	if err := failpoint.Default.Arm("wal.append=panic(disk on fire)*1"); err != nil {
+		t.Fatal(err)
+	}
+	logged := s1.metrics.WALAppends.Load()
+	if _, _, err := s1.applyIngest("g", e.Live, "b-4", workload[4]); !errors.Is(err, errIngestPanic) {
+		t.Fatalf("ingest through a panicking append: %v, want errIngestPanic", err)
+	}
+	if _, dup, err := s1.applyIngest("g", e.Live, "b-4", workload[4]); err != nil || dup {
+		t.Fatalf("retry of the failed batch: dup=%v err=%v, want a fresh apply", dup, err)
+	}
+	if got := s1.metrics.WALAppends.Load(); got != logged+1 {
+		t.Fatalf("wal_appends = %d after the retry, want %d (retry acked but never logged)", got, logged+1)
+	}
+
 	s2 := newDurableServer(t, dir, Config{SnapshotEvery: 1 << 40})
 	if n, err := s2.RecoverAll(); err != nil || n != 1 {
 		t.Fatalf("RecoverAll = %d, %v", n, err)
 	}
-	assertRecoveredMatches(t, s2, "g", cleanReplay(t, vertices, workload, 4))
+	assertRecoveredMatches(t, s2, "g", cleanReplay(t, vertices, workload, 5))
 }
 
 // TestBlobFailureKeepsAckedBatchesDurable: a blob store outage defers the

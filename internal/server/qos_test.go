@@ -146,6 +146,33 @@ func TestLanePoolDisabled(t *testing.T) {
 	mustBlock(t, p, ClassCheap)
 	p.Release(ClassExpensive)
 	p.Release(ClassExpensive)
+
+	// The laneless pool is the ingest pool: slot accounting and queue
+	// rejection without HTTP in the way.
+	p = NewLanePool(1, 0, 1)
+	if err := p.Acquire(t.Context(), ClassCheap); err != nil {
+		t.Fatal(err)
+	}
+	acquired := make(chan error, 1)
+	go func() { acquired <- p.Acquire(t.Context(), ClassCheap) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.QueueDepth() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.Acquire(t.Context(), ClassCheap); err != ErrQueueFull {
+		t.Fatalf("third acquire: %v, want ErrQueueFull", err)
+	}
+	p.Release(ClassCheap)
+	if err := <-acquired; err != nil {
+		t.Fatalf("queued acquire: %v", err)
+	}
+	p.Release(ClassCheap)
+	if p.Running() != 0 || p.QueueDepth() != 0 {
+		t.Fatalf("pool not drained: running=%d queued=%d", p.Running(), p.QueueDepth())
+	}
 }
 
 func TestCostClass(t *testing.T) {
@@ -613,4 +640,3 @@ func TestCheapP99ImprovesWithLanes(t *testing.T) {
 			cheapOn.P99Ms, cheapOff.P99Ms)
 	}
 }
-

@@ -14,7 +14,6 @@ import (
 
 	"graphct/internal/api"
 	"graphct/internal/blob"
-	"graphct/internal/stream"
 	"graphct/internal/wal"
 )
 
@@ -43,30 +42,22 @@ import (
 
 // handleSnapshotGet serves the newest durable snapshot of a live graph in
 // its at-rest GCTS encoding, falling back through retained epochs if the
-// newest blob is unreadable (the same policy recovery uses).
+// newest blob is unreadable (the policy recovery uses: loadNewestSnapshot).
 func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !s.durable() {
 		writeError(w, http.StatusNotFound, "daemon has no data directory; nothing durable to ship")
 		return
 	}
-	epochs, err := s.durableEpochs(name)
-	if err != nil || len(epochs) == 0 {
-		writeError(w, http.StatusNotFound, "no durable snapshots for %q", name)
+	snap, data, err := s.loadNewestSnapshot(name)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "no durable snapshot for %q: %v", name, err)
 		return
 	}
-	for i := len(epochs) - 1; i >= 0; i-- {
-		data, err := s.store.Get(snapshotKey(name, epochs[i]))
-		if err != nil {
-			continue
-		}
-		w.Header().Set("Content-Type", api.ContentTypeSnapshot)
-		epochHeader(w, epochs[i])
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-		return
-	}
-	writeError(w, http.StatusNotFound, "no loadable snapshot for %q", name)
+	w.Header().Set("Content-Type", api.ContentTypeSnapshot)
+	epochHeader(w, snap.Epoch)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
 }
 
 // handleWALGet serves the log segment based at ?from=E, raw. The response
@@ -157,35 +148,6 @@ func (s *Server) handleWALGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
-}
-
-// applyReplica applies one replicated WAL record to a replica graph under
-// the same critical-section discipline as direct ingest: dedup check,
-// batch application, idempotency recording. No snapshot threshold and no
-// local WAL — replica epochs come only from the leader's seal points, and
-// a replica's durability is the leader's.
-func (s *Server) applyReplica(live *Live, rec wal.Record) error {
-	live.mu.Lock()
-	defer live.mu.Unlock()
-	if rec.BatchID != "" {
-		if _, ok := live.dedup[rec.BatchID]; ok {
-			return nil
-		}
-	}
-	res, err := live.st.ApplyBatch(rec.Updates)
-	if err != nil {
-		return err
-	}
-	if rec.BatchID != "" {
-		live.remember(rec.BatchID, ingestResult{
-			Accepted: len(rec.Updates),
-			Inserted: res.Inserted,
-			Deleted:  res.Deleted,
-			Ignored:  res.Ignored,
-			Edges:    live.st.NumEdges(),
-		})
-	}
-	return nil
 }
 
 // Follower tails a leader daemon, mirroring every live graph it serves.
@@ -283,43 +245,30 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 // is complete), while "starting"/"recovering" — or unreachable — leaders
 // may still be rebuilding theirs.
 func (f *Follower) leaderListingComplete(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.leader+"/readyz", nil)
+	status, _, body, err := f.get(ctx, "/readyz")
 	if err != nil {
 		return false
 	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer drain(resp)
-	if resp.StatusCode == http.StatusOK {
+	if status == http.StatusOK {
 		return true
 	}
 	var st struct {
 		Status string `json:"status"`
 	}
-	if err := decodeJSON(resp.Body, &st); err != nil {
-		return false
-	}
-	return st.Status == "saturated"
+	return json.Unmarshal(body, &st) == nil && st.Status == "saturated"
 }
 
 // leaderLiveGraphs lists the live graphs the leader currently serves.
 func (f *Follower) leaderLiveGraphs(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.leader+"/graphs", nil)
+	status, _, body, err := f.get(ctx, "/graphs")
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("list leader graphs: HTTP %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("list leader graphs: HTTP %d", status)
 	}
 	var infos []graphInfo
-	if err := decodeJSON(resp.Body, &infos); err != nil {
+	if err := json.Unmarshal(body, &infos); err != nil {
 		return nil, err
 	}
 	var names []string
@@ -336,31 +285,24 @@ func (f *Follower) leaderLiveGraphs(ctx context.Context) ([]string, error) {
 // pass and pinning each one's epoch in order.
 func (f *Follower) syncGraph(ctx context.Context, name string) error {
 	st := f.state[name]
-	if st == nil {
-		ns, err := f.bootstrap(ctx, name)
-		if err != nil || ns == nil {
-			return err
-		}
-		f.state[name] = ns
-		st = ns
-	}
 	for {
-		status, sealed, next, data, err := f.fetchWAL(ctx, name, st.base)
+		if st == nil {
+			// First sight of the graph, or its segment is Gone (pruned, or
+			// dropped as incomplete): start from the newest snapshot.
+			var err error
+			if st, err = f.bootstrap(ctx, name); err != nil || st == nil {
+				return err
+			}
+			f.state[name] = st
+		}
+		status, hdr, data, err := f.get(ctx, fmt.Sprintf("/graphs/%s/wal?from=%d", url.PathEscape(name), st.base))
 		if err != nil {
 			return err
 		}
 		switch status {
 		case http.StatusOK:
 		case http.StatusGone:
-			ns, err := f.bootstrap(ctx, name)
-			if err != nil {
-				return err
-			}
-			if ns == nil {
-				return nil
-			}
-			f.state[name] = ns
-			st = ns
+			st = nil
 			continue
 		case http.StatusNotFound:
 			return nil // the segment does not exist yet; nothing to tail
@@ -371,17 +313,26 @@ func (f *Follower) syncGraph(ctx context.Context, name string) error {
 		if err != nil {
 			return err
 		}
-		for i := st.applied; i < len(recs); i++ {
-			if err := f.srv.applyReplica(st.live, recs[i]); err != nil {
+		// No snapshot threshold and no local WAL — replica epochs come only
+		// from the leader's seal points, and a replica's durability is the
+		// leader's. A record that fails ends the pass with the position on
+		// it, so the next pass retries that record, not the ones before it.
+		for st.applied < len(recs) {
+			st.live.mu.Lock()
+			err := st.live.replay(f.srv.metrics, recs[st.applied])
+			st.live.mu.Unlock()
+			if err != nil {
 				return err
 			}
+			st.applied++
 			f.srv.metrics.ReplicaBatches.Add(1)
 		}
-		if len(recs) > st.applied {
-			st.applied = len(recs)
-		}
-		if !sealed || torn {
+		if hdr.Get(api.HeaderWALSealed) != "true" || torn {
 			return nil // caught up to the open segment's fsynced head
+		}
+		next, err := strconv.ParseUint(hdr.Get(api.HeaderWALNext), 10, 64)
+		if err != nil {
+			return fmt.Errorf("sealed segment without a parseable %s", api.HeaderWALNext)
 		}
 		// The segment is complete and fully applied: the replica's state
 		// is exactly the leader's snapshot at `next`. Publish it there and
@@ -396,37 +347,22 @@ func (f *Follower) syncGraph(ctx context.Context, name string) error {
 // the leader serves no durable snapshot for the graph (not yet committed,
 // or a non-durable leader) — the next pass retries.
 func (f *Follower) bootstrap(ctx context.Context, name string) (*replState, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		f.leader+"/graphs/"+url.PathEscape(name)+"/snapshot", nil)
+	status, _, data, err := f.get(ctx, "/graphs/"+url.PathEscape(name)+"/snapshot")
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drain(resp)
-	if resp.StatusCode == http.StatusNotFound {
+	if status == http.StatusNotFound {
 		return nil, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetch snapshot: HTTP %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("fetch snapshot: HTTP %d", status)
 	}
 	snap, err := blob.DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild through the stream exactly as crash recovery does, so the
-	// replica's materialized snapshots are bit-identical to the leader's
-	// for the same adjacency.
-	st := stream.FromGraph(snap.Graph)
-	st.Touch(snap.LastTime)
-	live := &Live{st: st, replica: true}
-	f.srv.reg.addEntryAt(name, st.Snapshot(), live, snap.Epoch)
+	live := liveFromSnapshot(snap, true)
+	f.srv.reg.addEntryAt(name, live.st.Snapshot(), live, snap.Epoch)
 	f.srv.metrics.ReplicaBootstraps.Add(1)
 	return &replState{live: live, base: snap.Epoch}, nil
 }
@@ -441,42 +377,24 @@ func (f *Follower) publishPinned(name string, live *Live, epoch uint64) {
 	f.srv.metrics.ReplicaEpochs.Add(1)
 }
 
-// fetchWAL fetches one segment image. data is non-nil only for 200s.
-func (f *Follower) fetchWAL(ctx context.Context, name string, from uint64) (status int, sealed bool, next uint64, data []byte, err error) {
-	u := fmt.Sprintf("%s/graphs/%s/wal?from=%d", f.leader, url.PathEscape(name), from)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// get issues one GET against the leader and returns the answer whole:
+// status, headers and the body read to its end.
+func (f *Follower) get(ctx context.Context, path string) (int, http.Header, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.leader+path, nil)
 	if err != nil {
-		return 0, false, 0, nil, err
+		return 0, nil, nil, err
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
-		return 0, false, 0, nil, err
+		return 0, nil, nil, err
 	}
 	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, false, 0, nil, nil
-	}
-	data, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, false, 0, nil, err
-	}
-	if resp.Header.Get(api.HeaderWALSealed) == "true" {
-		sealed = true
-		next, err = strconv.ParseUint(resp.Header.Get(api.HeaderWALNext), 10, 64)
-		if err != nil {
-			return 0, false, 0, nil, fmt.Errorf("sealed segment without a parseable %s", api.HeaderWALNext)
-		}
-	}
-	return http.StatusOK, sealed, next, data, nil
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header, body, err
 }
 
 // drain consumes and closes a response body for connection reuse.
 func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-}
-
-// decodeJSON decodes a protocol JSON body.
-func decodeJSON(r io.Reader, v any) error {
-	return json.NewDecoder(r).Decode(v)
 }

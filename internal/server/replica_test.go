@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -416,11 +417,52 @@ func TestApplyReplicaDedup(t *testing.T) {
 
 	rec := wal.Record{BatchID: "b-1", Updates: []stream.Update{{U: 0, V: 1, Time: 1}}}
 	for i := 0; i < 3; i++ {
-		if err := s.applyReplica(live, rec); err != nil {
+		live.mu.Lock()
+		err := live.replay(s.metrics, rec)
+		live.mu.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := live.st.NumEdges(); got != 1 {
 		t.Fatalf("edges = %d after duplicate applies, want 1", got)
 	}
+}
+
+// TestFollowerApplyPanicIsolated: a record that panics while the tailer
+// applies it (stream.apply armed to panic once) is that sync pass's error,
+// counted in ingest_panics — not a dead tailer. The replica keeps serving
+// its previous epoch and the next pass converges to the leader's bits.
+func TestFollowerApplyPanicIsolated(t *testing.T) {
+	leader := newDurableServer(t, t.TempDir(), Config{SnapshotEvery: 1 << 30})
+	if _, err := leader.AddLive("g", 40); err != nil {
+		t.Fatal(err)
+	}
+	ingestDirect(t, leader, "g", "b-1", []stream.Update{{U: 0, V: 1, Time: 1}})
+	lts := httptest.NewServer(leader)
+	defer lts.Close()
+
+	fsrv, f, _ := newFollowerServer(t, lts.URL)
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatalf("SyncOnce: %v", err)
+	}
+	before, _ := fsrv.reg.Get("g")
+
+	// One unreplicated batch on the leader, then the fault on the follower.
+	ingestDirect(t, leader, "g", "b-2", []stream.Update{{U: 1, V: 2, Time: 2}})
+	armFailpoints(t, "stream.apply=panic(replica chaos)*1")
+	if err := f.SyncOnce(context.Background()); !errors.Is(err, errIngestPanic) {
+		t.Fatalf("SyncOnce over a panicking record: %v, want errIngestPanic", err)
+	}
+	if got := fsrv.metrics.IngestPanics.Load(); got != 1 {
+		t.Fatalf("ingest_panics = %d, want 1", got)
+	}
+	if after, ok := fsrv.reg.Get("g"); !ok || after != before {
+		t.Fatal("replica stopped serving its previous epoch after the isolated panic")
+	}
+
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatalf("SyncOnce after the failpoint is spent: %v", err)
+	}
+	assertReplicaMatchesLeader(t, leader, fsrv, "g")
 }

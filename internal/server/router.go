@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"graphct/internal/api"
 	"graphct/internal/ring"
@@ -79,10 +78,10 @@ func ParseShards(spec string) ([]Shard, error) {
 // RouterMetrics counts the router's own traffic; worker-side serving
 // metrics live on the workers.
 type RouterMetrics struct {
-	Reads     atomic.Int64 // kernel reads proxied
-	Writes    atomic.Int64 // writes proxied to shard leaders
-	Failovers atomic.Int64 // member attempts that fell through to another member
-	Degraded  atomic.Int64 // responses served (or synthesized) in degraded mode
+	Reads     counter `json:"routed_reads"`  // kernel reads proxied
+	Writes    counter `json:"routed_writes"` // writes proxied to shard leaders
+	Failovers counter `json:"failovers"`     // member attempts that fell through to another member
+	Degraded  counter `json:"degraded"`      // responses served (or synthesized) in degraded mode
 }
 
 // Router is the coordinator role's http.Handler.
@@ -168,12 +167,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]int64{
-		"routed_reads":  rt.metrics.Reads.Load(),
-		"routed_writes": rt.metrics.Writes.Load(),
-		"failovers":     rt.metrics.Failovers.Load(),
-		"degraded":      rt.metrics.Degraded.Load(),
-	})
+	writeJSON(w, http.StatusOK, &rt.metrics)
 }
 
 // handleListGraphs fans GET /graphs to every shard leader and merges. A
@@ -266,52 +260,47 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	order := rt.readOrder(sh)
 	staleOK := r.URL.Query().Get("stale") == "allow"
 
+	// try forwards req to each member in turn and returns the first final
+	// answer: the last member's, or any that does not warrant trying the
+	// next — except that a 412 is held back while hold412 is set, because
+	// pass two will answer it.
 	var saw412, sawAny bool
-	for i, member := range order {
-		resp, err := rt.forward(r, member, nil)
-		if err != nil {
-			continue
-		}
-		sawAny = true
-		if resp.StatusCode == http.StatusPreconditionFailed {
-			saw412 = true
-		}
-		if i < len(order)-1 && retryableRead(resp.StatusCode) {
-			drain(resp)
-			rt.metrics.Failovers.Add(1)
-			continue
-		}
-		if resp.StatusCode == http.StatusPreconditionFailed && staleOK {
-			drain(resp)
-			break // fall to pass two instead of surfacing the leader's 412
-		}
-		defer drain(resp)
-		relay(w, resp, member)
-		return
-	}
-
-	if saw412 && staleOK {
-		// Pass two: drop the freshness floor. Whoever answers is serving
-		// an epoch older than requested, which is exactly what the caller
-		// opted into; the header makes the degradation visible.
-		r2 := r.Clone(r.Context())
-		r2.Header.Del(api.HeaderMinEpoch)
+	try := func(req *http.Request, hold412 bool) (*http.Response, string) {
 		for i, member := range order {
-			resp, err := rt.forward(r2, member, nil)
+			resp, err := rt.forward(req, member, nil)
 			if err != nil {
 				continue
 			}
-			if i < len(order)-1 && retryableRead(resp.StatusCode) {
-				drain(resp)
-				rt.metrics.Failovers.Add(1)
-				continue
+			sawAny = true
+			stale := resp.StatusCode == http.StatusPreconditionFailed
+			saw412 = saw412 || stale
+			last := i == len(order)-1
+			if (last || !retryableRead(resp.StatusCode)) && !(stale && hold412) {
+				return resp, member
 			}
-			defer drain(resp)
+			drain(resp)
+			if !last {
+				rt.metrics.Failovers.Add(1)
+			}
+		}
+		return nil, ""
+	}
+	resp, member := try(r, staleOK)
+	if resp == nil && saw412 && staleOK {
+		// Pass two: drop the freshness floor and hold nothing back. Whoever
+		// answers is serving an epoch older than requested, which is what
+		// the caller opted into; the header makes the degradation visible.
+		r2 := r.Clone(r.Context())
+		r2.Header.Del(api.HeaderMinEpoch)
+		if resp, member = try(r2, false); resp != nil {
 			rt.metrics.Degraded.Add(1)
 			w.Header().Set(api.HeaderDegraded, "stale-epoch")
-			relay(w, resp, member)
-			return
 		}
+	}
+	if resp != nil {
+		defer drain(resp)
+		relay(w, resp, member)
+		return
 	}
 
 	rt.metrics.Degraded.Add(1)

@@ -267,6 +267,25 @@ func TestRouterMinEpochReads(t *testing.T) {
 	if status != http.StatusOK || h.Get(api.HeaderDegraded) != "stale-epoch" {
 		t.Fatalf("stale fallback: HTTP %d degraded=%q", status, h.Get(api.HeaderDegraded))
 	}
+
+	// Pass two relays whatever its last member says: a member that answers
+	// 412 even with the floor dropped is the caller's answer, not "down".
+	stubborn := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusPreconditionFailed, "always behind")
+	}))
+	defer stubborn.Close()
+	rts2 := httptest.NewServer(NewRouter([]Shard{{Members: []string{stubborn.URL}}}))
+	defer rts2.Close()
+	req, _ := http.NewRequest(http.MethodGet, rts2.URL+"/graphs/g/stats?stale=allow", nil)
+	req.Header.Set(api.HeaderMinEpoch, "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusPreconditionFailed || resp.Header.Get(api.HeaderWorker) != stubborn.URL {
+		t.Fatalf("pass-two 412: HTTP %d from %q, want the member's 412 relayed", resp.StatusCode, resp.Header.Get(api.HeaderWorker))
+	}
 }
 
 // TestClusterReplicationEndToEnd is the topology acceptance scenario: a

@@ -23,10 +23,12 @@
 // The package is organized as composable roles around one serving core:
 //
 //   - server.go — the core: Config, the Server that owns a Registry plus
-//     the admission/cache/breaker machinery, and the worker-role mux;
+//     the admission (lanes.go), cache and breaker machinery, and the
+//     worker-role mux; metrics.go names every /metrics counter once;
 //   - handlers.go / kernels.go — the HTTP handlers and the kernel
 //     dispatch table they validate against;
-//   - ingest.go / persist.go — the live-graph write path and durability;
+//   - ingest.go / persist.go — the live-graph write path (Live.apply, the
+//     one batch-apply every role drives) and durability (commitEpoch);
 //   - replica.go — the follower role: snapshot/WAL streaming endpoints
 //     on the leader side, and the tailer that keeps a follower's graphs
 //     bit-identical to the leader's at pinned epochs;
@@ -125,8 +127,8 @@ type Server struct {
 	reg      *Registry
 	cache    *Cache
 	flight   *flightGroup
-	pool     *LanePool
-	ingest   *Pool
+	pool     *LanePool // kernel admission, QoS lanes per Config.CheapReserved
+	ingest   *LanePool // ingest admission, laneless
 	metrics  *Metrics
 	breakers *BreakerSet
 	limiter  *RateLimiter // nil = per-client rate limiting disabled
@@ -144,7 +146,6 @@ type Server struct {
 	// Durability state; store is nil without Config.DataDir.
 	store  *blob.FS
 	walDir string
-	retain int
 
 	// hist caches point-in-time entries loaded for ?epoch=E reads.
 	histMu sync.Mutex
@@ -189,12 +190,11 @@ func New(reg *Registry, cfg Config) *Server {
 		cache:    NewCache(cfg.CacheBytes),
 		flight:   newFlightGroup(),
 		pool:     NewLanePool(cfg.MaxConcurrent, cfg.CheapReserved, cfg.MaxQueued),
-		ingest:   NewPool(cfg.IngestConcurrent, cfg.IngestQueued),
+		ingest:   NewLanePool(cfg.IngestConcurrent, 0, cfg.IngestQueued),
 		metrics:  NewMetrics(),
 		breakers: NewBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		limiter:  NewRateLimiter(cfg.ClientRate, cfg.ClientBurst),
 		cfg:      cfg,
-		retain:   cfg.RetainEpochs,
 		hist:     make(map[string]*GraphEntry),
 	}
 	switch {

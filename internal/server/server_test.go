@@ -441,7 +441,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d", status)
 	}
-	var snap MetricsSnapshot
+	var snap struct {
+		Requests   int64                        `json:"requests"`
+		CacheHits  int64                        `json:"cache_hits"`
+		CacheMiss  int64                        `json:"cache_misses"`
+		KernelRuns map[string]int64             `json:"kernel_runs"`
+		LatencyMs  map[string]HistogramSnapshot `json:"latency_ms"`
+	}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("metrics JSON: %v in %s", err, body)
 	}
@@ -453,6 +459,47 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	if h, ok := snap.LatencyMs["components"]; !ok || h.Count != 1 {
 		t.Fatalf("latency histogram %v, want one components observation", snap.LatencyMs)
+	}
+}
+
+// TestMetricsWireContract pins the /metrics document: its exact key set and
+// each value's kind. benchmark/serve.go reads it as map[string]any and
+// subtracts counters by name, cmd/graphctd's crash test reads
+// recovered_graphs, so a renamed or dropped key must fail here, not there.
+func TestMetricsWireContract(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{}, gen.Path(4))
+	get(t, ts.URL+"/graphs/g/components") // kernel_runs and latency_ms appear once a kernel ran
+	_, _, body := get(t, ts.URL+"/metrics")
+	var doc map[string]any
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("metrics JSON: %v in %s", err, body)
+	}
+	numbers := []string{
+		"requests", "cache_hits", "cache_misses", "coalesced", "rejected", "canceled",
+		"queue_depth", "running", "cache_bytes", "cache_items",
+		"kernel_panics", "breaker_rejected", "breaker_trips", "stale_served",
+		"cache_put_dropped", "rate_limited", "cache_oversized", "rate_limit_clients",
+		"cheap_reserved", "cheap_queue_depth", "expensive_queue_depth", "expensive_running",
+		"ingest_batches", "ingest_updates", "ingest_mutations", "ingest_rejected",
+		"ingest_deduped", "ingest_panics", "snapshots", "snapshots_deferred",
+		"ingest_queue_depth", "ingest_running",
+		"wal_appends", "wal_errors", "wal_torn_tails", "snapshots_persisted",
+		"snapshot_bytes", "persist_errors", "recovered_graphs", "recovered_batches", "recovery_ms",
+		"replica_bootstraps", "replica_batches", "replica_epochs", "replica_errors",
+	}
+	objects := []string{"kernel_runs", "latency_ms"}
+	for _, key := range numbers {
+		if _, ok := doc[key].(float64); !ok {
+			t.Errorf("/metrics %q = %v (%T), want a number", key, doc[key], doc[key])
+		}
+	}
+	for _, key := range objects {
+		if _, ok := doc[key].(map[string]any); !ok {
+			t.Errorf("/metrics %q = %v (%T), want an object", key, doc[key], doc[key])
+		}
+	}
+	if want := len(numbers) + len(objects); len(doc) != want {
+		t.Errorf("/metrics has %d keys, want %d: %s", len(doc), want, body)
 	}
 }
 
@@ -489,35 +536,6 @@ func TestCacheLRU(t *testing.T) {
 	off.Put("k", val(10))
 	if _, ok := off.Get("k"); ok {
 		t.Fatal("disabled cache stored a value")
-	}
-}
-
-// TestPoolAdmission checks slot accounting and queue rejection without
-// HTTP in the way.
-func TestPoolAdmission(t *testing.T) {
-	p := NewPool(1, 1)
-	if err := p.Acquire(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	acquired := make(chan error, 1)
-	go func() { acquired <- p.Acquire(t.Context()) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.QueueDepth() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := p.Acquire(t.Context()); err != ErrQueueFull {
-		t.Fatalf("third acquire: %v, want ErrQueueFull", err)
-	}
-	p.Release()
-	if err := <-acquired; err != nil {
-		t.Fatalf("queued acquire: %v", err)
-	}
-	p.Release()
-	if p.Running() != 0 || p.QueueDepth() != 0 {
-		t.Fatalf("pool not drained: running=%d queued=%d", p.Running(), p.QueueDepth())
 	}
 }
 
