@@ -218,8 +218,12 @@ func Write(w io.Writer, g *graph.Graph) error {
 	if _, err := fmt.Fprintf(bw, "c written by graphct\np %s %d %d\n", tag, g.NumVertices(), g.NumEdges()); err != nil {
 		return err
 	}
+	// Lines are assembled in one reused buffer: formatting each edge
+	// through fmt costs more than everything else the writer does.
+	var buf []int32
+	line := []byte{kind, ' '}
 	for v := 0; v < g.NumVertices(); v++ {
-		nbr := g.Neighbors(int32(v))
+		nbr := g.NeighborsInto(&buf, int32(v))
 		wts := g.Weights(int32(v))
 		for i, u := range nbr {
 			if !g.Directed() && u < int32(v) {
@@ -229,7 +233,13 @@ func Write(w io.Writer, g *graph.Graph) error {
 			if wts != nil {
 				weight = wts[i]
 			}
-			if _, err := fmt.Fprintf(bw, "%c %d %d %d\n", kind, v+1, u+1, weight); err != nil {
+			line = strconv.AppendInt(line[:2], int64(v)+1, 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(u)+1, 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(weight), 10)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package dimacs
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -207,6 +208,54 @@ func TestWriteDirectedRoundTrip(t *testing.T) {
 	}
 	if back.NumArcs() != 3 || !back.HasEdge(3, 0) || back.HasEdge(0, 3) {
 		t.Fatalf("directed round trip broken: %v", back)
+	}
+}
+
+// TestWritersMatchFormattedReference pins the text both writers emit to
+// the fmt.Fprintf lines they replaced, byte for byte: undirected, directed
+// and weighted graphs, raw and compact, ids wide enough to change digit
+// count.
+func TestWritersMatchFormattedReference(t *testing.T) {
+	weighted, err := graph.FromWeightedEdges(1200, []graph.WeightedEdge{
+		{U: 0, V: 1199, W: -7}, {U: 9, V: 10, W: 0}, {U: 99, V: 100, W: 2147483647}, {U: 5, V: 5, W: 3},
+	}, graph.Options{Directed: true, KeepSelfLoops: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	directed, _ := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 0}}, graph.Options{Directed: true})
+	er := gen.ErdosRenyi(1100, 3000, 5)
+	for name, g := range map[string]*graph.Graph{
+		"undirected": er, "compact": er.Compact(), "directed": directed, "weighted": weighted, "empty": graph.Empty(3, false),
+	} {
+		var dim, el bytes.Buffer
+		tag, kind := "edge", 'e'
+		if g.Directed() {
+			tag, kind = "sp", 'a'
+		}
+		fmt.Fprintf(&dim, "c written by graphct\np %s %d %d\n", tag, g.NumVertices(), g.NumEdges())
+		fmt.Fprintf(&el, "# graphct edge list: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+		for v := 0; v < g.NumVertices(); v++ {
+			wts := g.Weights(int32(v))
+			for i, u := range g.Neighbors(int32(v)) {
+				if !g.Directed() && u < int32(v) {
+					continue
+				}
+				weight := int32(1)
+				if wts != nil {
+					weight = wts[i]
+				}
+				fmt.Fprintf(&dim, "%c %d %d %d\n", kind, v+1, u+1, weight)
+				fmt.Fprintf(&el, "%d %d\n", v, u)
+			}
+		}
+		var got bytes.Buffer
+		if err := Write(&got, g); err != nil || !bytes.Equal(got.Bytes(), dim.Bytes()) {
+			t.Errorf("%s: Write differs from the formatted reference (err %v)", name, err)
+		}
+		got.Reset()
+		if err := WriteEdgeList(&got, g); err != nil || !bytes.Equal(got.Bytes(), el.Bytes()) {
+			t.Errorf("%s: WriteEdgeList differs from the formatted reference (err %v)", name, err)
+		}
 	}
 }
 

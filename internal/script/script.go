@@ -552,9 +552,8 @@ func (in *Interp) cmdKCores(args []string) error {
 }
 
 func (in *Interp) cmdClustering(redirect string) error {
-	coef := in.tk.ClusteringCoefficients()
 	if redirect != "" {
-		return writeScores(in.path(redirect), coef)
+		return writeScores(in.path(redirect), in.tk.ClusteringCoefficients())
 	}
 	fmt.Fprintf(in.out, "global clustering coefficient %.6f\n", in.tk.GlobalClustering())
 	return nil

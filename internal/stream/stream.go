@@ -24,6 +24,7 @@ package stream
 import (
 	"fmt"
 
+	"graphct/internal/cluster"
 	"graphct/internal/graph"
 )
 
@@ -80,36 +81,30 @@ func New(n int) *Stream {
 // FromGraph builds a stream preloaded with the undirected simple
 // projection of g (self loops dropped, directions and duplicates
 // collapsed), so an existing static graph can start accepting live
-// updates. Triangle counts are established by one static count.
+// updates. Triangle counts are seeded by the static kernel, which is
+// defined on the same simple projection.
 func FromGraph(g *graph.Graph) *Stream {
 	if g.Directed() {
 		g = g.Undirected()
 	}
 	s := New(g.NumVertices())
+	var buf []int32
 	for v := 0; v < s.n; v++ {
-		for _, w := range g.Neighbors(int32(v)) {
-			if w == int32(v) || w < int32(v) {
+		prev := int32(v) // rows are sorted: skips w <= v, then repeats of w
+		for _, w := range g.NeighborsInto(&buf, int32(v)) {
+			if w <= prev {
 				continue
 			}
+			prev = w
 			s.adj[v][w] = struct{}{}
 			s.adj[w][int32(v)] = struct{}{}
 			s.edges++
 		}
 	}
-	for v := int32(0); v < int32(s.n); v++ {
-		s.tri6[v] = triScale * s.countTriangles(v)
+	for v, t := range cluster.Triangles(g) {
+		s.tri6[v] = triScale * t
 	}
 	return s
-}
-
-// countTriangles counts triangles incident on v from the current
-// adjacency sets (used only to seed FromGraph).
-func (s *Stream) countTriangles(v int32) int64 {
-	var twice int64
-	for w := range s.adj[v] {
-		twice += int64(len(s.commonNeighbors(v, w)))
-	}
-	return twice / 2
 }
 
 // NumVertices returns the vertex count.
