@@ -69,8 +69,9 @@ func New(g *graph.Graph, opts ...Option) *Toolkit {
 }
 
 // LoadDIMACS reads a DIMACS file into a new Toolkit. Edge weights are
-// kept; path-counting kernels ignore them, the SSSP kernel uses them, and
-// graphs derived by extraction or projection drop them.
+// kept; path-counting kernels ignore them, the SSSP kernel uses them.
+// Extraction, k-cores and reordering carry them along; the undirected
+// projection and the reciprocal core drop them.
 func LoadDIMACS(path string, directed bool, opts ...Option) (*Toolkit, error) {
 	g, err := dimacs.ParseFile(path, dimacs.ParseOptions{Directed: directed, KeepWeights: true})
 	if err != nil {

@@ -279,3 +279,42 @@ func TestFileRoundTripThroughToolkit(t *testing.T) {
 		t.Fatal("missing dimacs should error")
 	}
 }
+
+// A weighted DIMACS graph keeps its weights through component extraction:
+// shortest paths on the extracted component equal those on the full graph
+// (they used to come back in hop counts).
+func TestExtractedComponentKeepsWeights(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.dimacs")
+	// Component {1,2,3,4}: the direct 1-4 edge (weight 50) loses to the
+	// path through 2 and 3 (weight 3); component {5,6} is smaller.
+	src := "p sp 6 5\na 1 2 1\na 2 3 1\na 3 4 1\na 1 4 50\na 5 6 7\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tk, err := LoadDIMACS(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := tk.SSSP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.ExtractComponent(1); err != nil {
+		t.Fatal(err)
+	}
+	if !tk.Graph().Weighted() {
+		t.Fatal("extracted component lost its weights")
+	}
+	sub, err := tk.SSSP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, d := range sub.Dist {
+		if want := full.Dist[tk.OrigID(int32(v))]; d != want {
+			t.Fatalf("dist(%d) = %d on the component, %d on the full graph", v, d, want)
+		}
+	}
+	if sub.Dist[3] != 3 {
+		t.Fatalf("dist to vertex 4 = %d, want 3 (weighted, not hops)", sub.Dist[3])
+	}
+}

@@ -15,6 +15,8 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"graphct/internal/graph"
 	"graphct/internal/par"
@@ -67,33 +69,36 @@ func ParseBytes(data []byte, opt ParseOptions) (*graph.Graph, error) {
 	}
 	chunks := splitLines(data, 4*par.Workers())
 	type partial struct {
-		edges []graph.WeightedEdge
-		err   error
+		edges  []graph.Edge
+		wedges []graph.WeightedEdge
+		err    error
 	}
 	parts := make([]partial, len(chunks))
 	par.For(len(chunks), func(i int) {
-		parts[i].edges, parts[i].err = parseChunk(chunks[i], n)
+		parts[i].edges, parts[i].wedges, parts[i].err = parseChunk(chunks[i], n, opt.KeepWeights)
 	})
-	var total int
 	for i := range parts {
 		if parts[i].err != nil {
 			return nil, parts[i].err
 		}
-		total += len(parts[i].edges)
-	}
-	edges := make([]graph.WeightedEdge, 0, total)
-	for i := range parts {
-		edges = append(edges, parts[i].edges...)
 	}
 	gopt := graph.Options{Directed: opt.Directed}
 	if opt.KeepWeights {
-		return graph.FromWeightedEdges(n, edges, gopt)
+		return graph.FromWeightedEdges(n, concat(len(parts), func(i int) []graph.WeightedEdge { return parts[i].wedges }), gopt)
 	}
-	plain := make([]graph.Edge, len(edges))
-	for i, e := range edges {
-		plain[i] = graph.Edge{U: e.U, V: e.V}
+	return graph.FromEdges(n, concat(len(parts), func(i int) []graph.Edge { return parts[i].edges }), gopt)
+}
+
+// concat joins the k per-chunk slices part(i) into one, copying the
+// chunks in parallel.
+func concat[E any](k int, part func(i int) []E) []E {
+	offs := make([]int, k+1)
+	for i := 0; i < k; i++ {
+		offs[i+1] = offs[i] + len(part(i))
 	}
-	return graph.FromEdges(n, plain, gopt)
+	out := make([]E, offs[k])
+	par.For(k, func(i int) { copy(out[offs[i]:], part(i)) })
+	return out
 }
 
 // header locates and parses the problem line.
@@ -156,10 +161,18 @@ func splitLines(data []byte, parts int) [][]byte {
 	return chunks
 }
 
-// parseChunk extracts the edges in one chunk. Problem and comment lines are
-// skipped (the header may sit inside any chunk).
-func parseChunk(chunk []byte, n int) ([]graph.WeightedEdge, error) {
-	var edges []graph.WeightedEdge
+// parseChunk extracts the edges in one chunk: into wedges when
+// keepWeights, else into edges (a weight column is still checked).
+// Problem and comment lines are skipped (the header may sit inside any
+// chunk). Fields are scanned and their digits read in place.
+func parseChunk(chunk []byte, n int, keepWeights bool) (edges []graph.Edge, wedges []graph.WeightedEdge, err error) {
+	// Room for every edge line: one per newline, and no line shorter than
+	// "a 1 2\n" holds an edge, so blank lines cannot inflate it.
+	if lines := min(bytes.Count(chunk, []byte{'\n'}), len(chunk)/6) + 1; keepWeights {
+		wedges = make([]graph.WeightedEdge, 0, lines)
+	} else {
+		edges = make([]graph.Edge, 0, lines)
+	}
 	for len(chunk) > 0 {
 		line := chunk
 		if idx := bytes.IndexByte(chunk, '\n'); idx >= 0 {
@@ -168,41 +181,106 @@ func parseChunk(chunk []byte, n int) ([]graph.WeightedEdge, error) {
 		} else {
 			chunk = nil
 		}
-		fields := bytes.Fields(line)
-		if len(fields) == 0 {
+		fields, nf := splitFields(line, 4)
+		if nf == 0 {
 			continue
 		}
 		switch fields[0][0] {
 		case 'c', 'p':
 			continue
 		case 'a', 'e':
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("dimacs: malformed edge line %q", line)
+			if nf < 3 {
+				return nil, nil, fmt.Errorf("dimacs: malformed edge line %q", line)
 			}
-			u, err := strconv.Atoi(string(fields[1]))
-			if err != nil {
-				return nil, fmt.Errorf("dimacs: bad source in %q", line)
+			u, ok := parseInt(fields[1], strconv.IntSize)
+			if !ok {
+				return nil, nil, fmt.Errorf("dimacs: bad source in %q", line)
 			}
-			v, err := strconv.Atoi(string(fields[2]))
-			if err != nil {
-				return nil, fmt.Errorf("dimacs: bad target in %q", line)
+			v, ok := parseInt(fields[2], strconv.IntSize)
+			if !ok {
+				return nil, nil, fmt.Errorf("dimacs: bad target in %q", line)
 			}
-			w := 1
-			if len(fields) >= 4 {
-				w, err = strconv.Atoi(string(fields[3]))
-				if err != nil {
-					return nil, fmt.Errorf("dimacs: bad weight in %q", line)
+			w := int64(1)
+			if nf >= 4 {
+				if w, ok = parseInt(fields[3], strconv.IntSize); !ok {
+					return nil, nil, fmt.Errorf("dimacs: bad weight in %q", line)
 				}
 			}
-			if u < 1 || u > n || v < 1 || v > n {
-				return nil, fmt.Errorf("dimacs: edge (%d,%d) outside 1..%d", u, v, n)
+			if u < 1 || u > int64(n) || v < 1 || v > int64(n) {
+				return nil, nil, fmt.Errorf("dimacs: edge (%d,%d) outside 1..%d", u, v, n)
 			}
-			edges = append(edges, graph.WeightedEdge{U: int32(u - 1), V: int32(v - 1), W: int32(w)})
+			if keepWeights {
+				wedges = append(wedges, graph.WeightedEdge{U: int32(u - 1), V: int32(v - 1), W: int32(w)})
+			} else {
+				edges = append(edges, graph.Edge{U: int32(u - 1), V: int32(v - 1)})
+			}
 		default:
-			return nil, fmt.Errorf("dimacs: unrecognized line %q", line)
+			return nil, nil, fmt.Errorf("dimacs: unrecognized line %q", line)
 		}
 	}
-	return edges, nil
+	return edges, wedges, nil
+}
+
+// splitFields returns the first (up to) max whitespace-separated fields
+// of line and how many there are, splitting exactly where bytes.Fields
+// would — ASCII space, \t, \n, \v, \f, \r and, in non-ASCII text, every
+// unicode.IsSpace rune — without allocating.
+func splitFields(line []byte, max int) (fields [4][]byte, nf int) {
+	for i := 0; nf < max; nf++ {
+		i = skip(line, i, true)
+		if i == len(line) {
+			break
+		}
+		end := skip(line, i, false)
+		fields[nf], i = line[i:end], end
+	}
+	return fields, nf
+}
+
+// skip advances from i over runes that are (space) or are not (!space)
+// white space, returning the first index where that stops.
+func skip(line []byte, i int, space bool) int {
+	for i < len(line) {
+		c, size := line[i], 1
+		isSpace := c == ' ' || c-'\t' <= '\r'-'\t'
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			isSpace = unicode.IsSpace(r)
+		}
+		if isSpace != space {
+			return i
+		}
+		i += size
+	}
+	return i
+}
+
+// parseInt is strconv.ParseInt(string(s), 10, bitSize) without the
+// string: an optional sign and at least one decimal digit, in range. ok is
+// false exactly where ParseInt returns an error.
+func parseInt(s []byte, bitSize int) (v int64, ok bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if len(s) == 0 {
+		return 0, false
+	}
+	limit := uint64(1) << (bitSize - 1) // |MinInt|; MaxInt is one less
+	var u uint64
+	for _, c := range s {
+		if c < '0' || c > '9' || u > limit/10 {
+			return 0, false
+		}
+		if u = u*10 + uint64(c-'0'); u > limit {
+			return 0, false
+		}
+	}
+	if neg {
+		return -int64(u), true
+	}
+	return int64(u), u < limit
 }
 
 // Write emits g in DIMACS format with 1-based ids. Undirected edges are

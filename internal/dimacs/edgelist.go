@@ -61,13 +61,11 @@ func ParseEdgeListBytes(data []byte, opt EdgeListOptions) (*graph.Graph, error) 
 	par.For(len(chunks), func(i int) {
 		parts[i].edges, parts[i].max, parts[i].err = parseEdgeChunk(chunks[i])
 	})
-	var total int
 	max := int32(-1)
 	for i := range parts {
 		if parts[i].err != nil {
 			return nil, parts[i].err
 		}
-		total += len(parts[i].edges)
 		if parts[i].max > max {
 			max = parts[i].max
 		}
@@ -79,15 +77,13 @@ func ParseEdgeListBytes(data []byte, opt EdgeListOptions) (*graph.Graph, error) 
 	if opt.MaxVertices > 0 && n > opt.MaxVertices {
 		return nil, fmt.Errorf("edgelist: %d vertices exceeds limit %d", n, opt.MaxVertices)
 	}
-	edges := make([]graph.Edge, 0, total)
-	for i := range parts {
-		edges = append(edges, parts[i].edges...)
-	}
+	edges := concat(len(parts), func(i int) []graph.Edge { return parts[i].edges })
 	return graph.FromEdges(n, edges, graph.Options{Directed: opt.Directed})
 }
 
 func parseEdgeChunk(chunk []byte) ([]graph.Edge, int32, error) {
-	var edges []graph.Edge
+	// As in parseChunk: one edge per newline at most, none shorter than "0 1\n".
+	edges := make([]graph.Edge, 0, min(bytes.Count(chunk, []byte{'\n'}), len(chunk)/4)+1)
 	max := int32(-1)
 	for len(chunk) > 0 {
 		line := chunk
@@ -97,19 +93,19 @@ func parseEdgeChunk(chunk []byte) ([]graph.Edge, int32, error) {
 		} else {
 			chunk = nil
 		}
-		fields := bytes.Fields(line)
-		if len(fields) == 0 || fields[0][0] == '#' {
+		fields, nf := splitFields(line, 2)
+		if nf == 0 || fields[0][0] == '#' {
 			continue
 		}
-		if len(fields) < 2 {
+		if nf < 2 {
 			return nil, 0, fmt.Errorf("edgelist: malformed line %q", line)
 		}
-		u, err := strconv.ParseInt(string(fields[0]), 10, 32)
-		if err != nil || u < 0 {
+		u, ok := parseInt(fields[0], 32)
+		if !ok || u < 0 {
 			return nil, 0, fmt.Errorf("edgelist: bad source in %q", line)
 		}
-		v, err := strconv.ParseInt(string(fields[1]), 10, 32)
-		if err != nil || v < 0 {
+		v, ok := parseInt(fields[1], 32)
+		if !ok || v < 0 {
 			return nil, 0, fmt.Errorf("edgelist: bad target in %q", line)
 		}
 		if int32(u) > max {

@@ -2,8 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"math/bits"
+	"slices"
 
 	"graphct/internal/par"
 )
@@ -23,145 +23,175 @@ type Options struct {
 
 // FromEdges ingests an edge list into a CSR graph with n vertices. Vertex
 // ids must lie in [0, n); n may exceed the largest referenced id to include
-// isolated vertices. The input slice may be reordered.
+// isolated vertices. The input slice is not modified.
 func FromEdges(n int, edges []Edge, opt Options) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	for _, e := range edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
-		}
-	}
-	if !opt.KeepSelfLoops {
-		edges = FilterSelfLoops(edges)
-	}
-	if !opt.KeepDuplicates {
-		edges = DedupEdges(edges, !opt.Directed)
-	}
-	g := scatter(n, edges, nil, opt.Directed)
-	return g, nil
+	return fromList(n, len(edges), false, opt, func(i int) (u, v, w int32) { return edges[i].U, edges[i].V, 0 })
 }
 
-// FromWeightedEdges ingests a weighted edge list. Duplicate handling keeps
-// the first instance of each arc after sorting.
+// FromWeightedEdges ingests a weighted edge list. When duplicates are
+// merged, each arc keeps the weight of its first instance in input order;
+// on undirected input (u,v,w1) and (v,u,w2) are one edge, and both of its
+// arcs carry w1. Kept duplicates stay in input order within their row.
 func FromWeightedEdges(n int, edges []WeightedEdge, opt Options) (*Graph, error) {
+	return fromList(n, len(edges), true, opt, func(i int) (u, v, w int32) { return edges[i].U, edges[i].V, edges[i].W })
+}
+
+// fromList validates the m edges at(i) in parallel and packs each as a key
+// u<<b | v (endpoints ordered u <= v unless directed) for build. An error
+// names the lowest-index bad edge, the one a serial scan would find.
+func fromList(n, m int, weighted bool, opt Options, at func(i int) (u, v, w int32)) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	for _, e := range edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
-		}
+	b := idBits(n)
+	keys := make([]uint64, m)
+	var wts []int32
+	if weighted {
+		wts = make([]int32, m)
 	}
-	if !opt.KeepSelfLoops {
-		out := edges[:0]
-		for _, e := range edges {
-			if e.U != e.V {
-				out = append(out, e)
+	first := make([]int, par.Workers()) // per worker: its first bad edge, or m
+	par.ForWorkers(len(first), func(w, workers int) {
+		first[w] = m
+		for i, hi := w*m/workers, (w+1)*m/workers; i < hi; i++ {
+			u, v, wt := at(i)
+			if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+				first[w] = i
+				return
+			}
+			if !opt.Directed && u > v {
+				u, v = v, u
+			}
+			keys[i] = uint64(u)<<b | uint64(v)
+			if weighted {
+				wts[i] = wt
 			}
 		}
-		edges = out
+	})
+	if i := slices.Min(first); i < m {
+		u, v, _ := at(i)
+		return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
-	if !opt.KeepDuplicates {
-		if !opt.Directed {
-			for i, e := range edges {
-				if e.U > e.V {
-					edges[i].U, edges[i].V = e.V, e.U
-				}
-			}
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].U != edges[j].U {
-				return edges[i].U < edges[j].U
-			}
-			return edges[i].V < edges[j].V
-		})
-		out := edges[:0]
-		for i, e := range edges {
-			if i == 0 || e.U != edges[i-1].U || e.V != edges[i-1].V {
-				out = append(out, e)
-			}
-		}
-		edges = out
-	}
-	plain := make([]Edge, len(edges))
-	weights := make([]int32, len(edges))
-	for i, e := range edges {
-		plain[i] = Edge{e.U, e.V}
-		weights[i] = e.W
-	}
-	return scatter(n, plain, weights, opt.Directed), nil
+	return build(n, keys, wts, opt), nil
 }
 
-// scatter builds the CSR arrays from a cleaned edge list: parallel degree
-// histogram via atomic fetch-and-add, exclusive prefix sum, parallel
-// scatter claiming slots with fetch-and-add, then a parallel per-vertex
-// sort. This is the XMT ingest pattern on goroutines.
-func scatter(n int, edges []Edge, weights []int32, directed bool) *Graph {
-	deg := make([]int64, n)
-	par.For(len(edges), func(i int) {
-		e := edges[i]
-		atomic.AddInt64(&deg[e.U], 1)
-		if !directed && e.U != e.V {
-			atomic.AddInt64(&deg[e.V], 1)
+// idBits is the width of one packed endpoint: ⌈log₂ n⌉, so a key spends
+// exactly the bits the vertex count needs and the radix sort skips the
+// rest.
+func idBits(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return min(bits.Len(uint(n-1)), 31)
+}
+
+// build is the one CSR constructor every builder reaches. keys are
+// u<<b | v packed arcs over n vertices (b = idBits(n)); wts, when non-nil,
+// is aligned with keys. Undirected keys must be canonical (u <= v): each
+// one becomes the arc u->v and, unless it is a self loop, v->u. keys is
+// reordered; wts is not.
+//
+// The keys are radix sorted over their 2b significant bits — stably, so
+// equal keys keep their input order and dropping all but the first of each
+// run keeps the first instance's weight. Self loops and duplicates are
+// dropped on the sorted keys. The fill then needs no atomics and no row
+// sort: the sorted keys are cut into one contiguous chunk per worker, each
+// worker counts the arcs its chunk sends to every row, and one prefix over
+// (row, worker) gives each worker a private slot range per row. Walking
+// its chunk in key order, a worker writes row x's reverse arcs (keys
+// (u,x), u < x, in ascending u) before its forward run (keys (x,v),
+// ascending v), and every reverse key sorts before every forward key, so
+// each row comes out sorted.
+func build(n int, keys []uint64, wts []int32, opt Options) *Graph {
+	b := idBits(n)
+	if wts == nil {
+		par.RadixSortUint64(keys, 2*b)
+	} else {
+		keys, wts = sortWeighted(keys, wts, b)
+	}
+	m, mask := len(keys), uint64(1)<<b-1
+	mirror := !opt.Directed
+	// More workers than arcs per vertex would spend more on the n-sized
+	// count arrays than on the arcs.
+	workers := max(1, min(par.Workers(), m/max(n, 1)))
+	cnt := make([][]int64, workers)
+	par.ForWorkers(workers, func(w, workers int) {
+		c := make([]int64, n)
+		for j, hi := w*m/workers, (w+1)*m/workers; j < hi; j++ {
+			if !live(keys, j, b, opt) {
+				continue
+			}
+			u, v := keys[j]>>b, keys[j]&mask
+			c[u]++
+			if mirror && u != v {
+				c[v]++
+			}
 		}
+		cnt[w] = c
 	})
 	rowPtr := make([]int64, n+1)
 	var sum int64
-	for v := 0; v < n; v++ {
-		rowPtr[v] = sum
-		sum += deg[v]
+	for x := 0; x < n; x++ {
+		rowPtr[x] = sum
+		for _, c := range cnt {
+			c[x], sum = sum, sum+c[x]
+		}
 	}
 	rowPtr[n] = sum
 	adj := make([]int32, sum)
-	var wts []int32
-	if weights != nil {
-		wts = make([]int32, sum)
+	var aw []int32
+	if wts != nil {
+		aw = make([]int32, sum)
 	}
-	cursor := make([]int64, n)
-	copy(cursor, rowPtr[:n])
-	par.For(len(edges), func(i int) {
-		e := edges[i]
-		slot := atomic.AddInt64(&cursor[e.U], 1) - 1
-		adj[slot] = e.V
-		if wts != nil {
-			wts[slot] = weights[i]
-		}
-		if !directed && e.U != e.V {
-			slot = atomic.AddInt64(&cursor[e.V], 1) - 1
-			adj[slot] = e.U
-			if wts != nil {
-				wts[slot] = weights[i]
+	par.ForWorkers(workers, func(w, workers int) {
+		next := cnt[w]
+		for j, hi := w*m/workers, (w+1)*m/workers; j < hi; j++ {
+			if !live(keys, j, b, opt) {
+				continue
+			}
+			u, v := keys[j]>>b, keys[j]&mask
+			p := next[u]
+			next[u]++
+			adj[p] = int32(v)
+			if aw != nil {
+				aw[p] = wts[j]
+			}
+			if mirror && u != v {
+				p = next[v]
+				next[v]++
+				adj[p] = int32(u)
+				if aw != nil {
+					aw[p] = wts[j]
+				}
 			}
 		}
 	})
-	g := &Graph{rowPtr: rowPtr, adj: adj, weights: wts, directed: directed}
-	par.For(n, func(v int) {
-		lo, hi := rowPtr[v], rowPtr[v+1]
-		if hi-lo < 2 {
-			return
-		}
-		if wts == nil {
-			s := adj[lo:hi]
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-			return
-		}
-		a, w := adj[lo:hi], wts[lo:hi]
-		idx := make([]int, len(a))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(i, j int) bool { return a[idx[i]] < a[idx[j]] })
-		sa := make([]int32, len(a))
-		sw := make([]int32, len(a))
-		for i, k := range idx {
-			sa[i], sw[i] = a[k], w[k]
-		}
-		copy(a, sa)
-		copy(w, sw)
-	})
-	return g
+	return &Graph{rowPtr: rowPtr, adj: adj, weights: aw, directed: opt.Directed}
+}
+
+// live reports whether sorted key j becomes arcs: it is not a repeat of
+// key j-1 (unless duplicates are kept) nor a self loop (unless kept).
+func live(keys []uint64, j, b int, opt Options) bool {
+	k := keys[j]
+	return (opt.KeepDuplicates || j == 0 || k != keys[j-1]) &&
+		(opt.KeepSelfLoops || k>>b != k&(1<<b-1))
+}
+
+// sortWeighted is the weighted form of build's sort: it returns keys
+// sorted stably over their 2b significant bits and their weights in the
+// same order, leaving wts untouched. A key and its input position do not
+// always fit one word together, so the sort is two LSD rounds over b bits
+// each, position i riding above the half-key: by v first, then stably by
+// u. (i < 2^(64-b) holds for any list that fits in memory: b <= 31.)
+func sortWeighted(keys []uint64, wts []int32, b int) ([]uint64, []int32) {
+	mask := uint64(1)<<b - 1
+	idx := make([]uint64, len(keys))
+	par.For(len(keys), func(i int) { idx[i] = uint64(i)<<b | keys[i]&mask })
+	par.RadixSortUint64(idx, b)
+	par.For(len(idx), func(j int) { idx[j] = idx[j]>>b<<b | keys[idx[j]>>b]>>b })
+	par.RadixSortUint64(idx, b)
+	w := make([]int32, len(idx))
+	par.For(len(idx), func(j int) { idx[j], w[j] = keys[idx[j]>>b], wts[idx[j]>>b] })
+	return idx, w
 }
 
 // Empty returns a graph with n vertices and no edges.

@@ -40,7 +40,7 @@ func (g *Graph) Compact() *Graph {
 	}
 	n := g.NumVertices()
 	// Sizing pass: exact encoded length per row, then a prefix sum, then a
-	// parallel fill — the same scatter shape as CSR ingest.
+	// parallel fill — the count → prefix → fill shape of filterRows.
 	lens := make([]int64, n)
 	par.For(n, func(v int) {
 		l, err := adjacencyLen(g.adj[g.rowPtr[v]:g.rowPtr[v+1]])

@@ -1,11 +1,5 @@
 package graph
 
-import (
-	"sort"
-
-	"graphct/internal/par"
-)
-
 // Edge is one directed arc (or one undirected edge, orientation ignored) in
 // an edge list awaiting ingest.
 type Edge struct {
@@ -15,80 +9,6 @@ type Edge struct {
 // WeightedEdge is an Edge with an integer weight, as read from DIMACS input.
 type WeightedEdge struct {
 	U, V, W int32
-}
-
-// canon returns the edge with endpoints ordered (u <= v), the canonical form
-// for undirected deduplication.
-func (e Edge) canon() Edge {
-	if e.U > e.V {
-		return Edge{e.V, e.U}
-	}
-	return e
-}
-
-// DedupEdges sorts the list and removes duplicate arcs in place, returning
-// the shortened slice. When undirected is true, (u,v) and (v,u) are treated
-// as the same edge ("duplicate user interactions are thrown out"). Self
-// loops are kept; callers drop them separately if desired.
-//
-// Large lists are sorted by packing both endpoints into one uint64 key and
-// radix sorting in parallel — the ingest-dominated workloads the paper
-// describes spend most of their time here.
-func DedupEdges(edges []Edge, undirected bool) []Edge {
-	if undirected {
-		for i := range edges {
-			edges[i] = edges[i].canon()
-		}
-	}
-	const radixThreshold = 1 << 14
-	if len(edges) >= radixThreshold && nonNegative(edges) {
-		keys := make([]uint64, len(edges))
-		for i, e := range edges {
-			keys[i] = uint64(uint32(e.U))<<32 | uint64(uint32(e.V))
-		}
-		par.RadixSortUint64(keys)
-		for i, k := range keys {
-			edges[i] = Edge{U: int32(k >> 32), V: int32(k & 0xFFFFFFFF)}
-		}
-	} else {
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].U != edges[j].U {
-				return edges[i].U < edges[j].U
-			}
-			return edges[i].V < edges[j].V
-		})
-	}
-	out := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// nonNegative reports whether every endpoint packs order-preserving into
-// an unsigned key. Ingest always validates ranges first; the check guards
-// direct library callers.
-func nonNegative(edges []Edge) bool {
-	for _, e := range edges {
-		if e.U < 0 || e.V < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// FilterSelfLoops removes u==v arcs in place and returns the shortened
-// slice.
-func FilterSelfLoops(edges []Edge) []Edge {
-	out := edges[:0]
-	for _, e := range edges {
-		if e.U != e.V {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // MaxVertex returns 1 + the largest vertex id referenced by the edge list,

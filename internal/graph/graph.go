@@ -6,9 +6,11 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"graphct/internal/par"
 )
 
 // Graph is a static graph in compressed sparse row format. For a directed
@@ -41,24 +43,34 @@ func (g *Graph) NumVertices() int { return len(g.rowPtr) - 1 }
 func (g *Graph) NumArcs() int64 { return g.rowPtr[len(g.rowPtr)-1] }
 
 // NumEdges returns the number of logical edges: arcs for a directed graph,
-// arcs/2 (plus any self loops counted once) for an undirected graph.
+// arcs/2 (plus any self loops counted once) for an undirected graph. It
+// finds each vertex's loops by binary search in its own sorted row, in
+// parallel — O(n log d), not a walk over every arc.
 func (g *Graph) NumEdges() int64 {
 	if g.directed {
 		return g.NumArcs()
 	}
-	var loops int64
-	for v := 0; v < g.NumVertices(); v++ {
-		for it := g.NeighborIter(int32(v)); ; {
-			w, ok := it.Next()
-			if !ok {
-				break
-			}
-			if w == int32(v) {
-				loops++
-			}
+	loops := par.ReduceSum(g.NumVertices(), func(v int) int64 { return g.selfLoops(int32(v)) })
+	return (g.NumArcs()-loops)/2 + loops
+}
+
+// selfLoops counts the v->v arcs in row v (more than one on a multigraph).
+func (g *Graph) selfLoops(v int32) (c int64) {
+	if g.compact == nil {
+		row := g.adj[g.rowPtr[v]:g.rowPtr[v+1]]
+		lo, _ := slices.BinarySearch(row, v)
+		hi, _ := slices.BinarySearch(row, v+1)
+		return int64(hi - lo)
+	}
+	for it := g.NeighborIter(v); ; {
+		w, ok := it.Next()
+		if !ok || w > v {
+			return c
+		}
+		if w == v {
+			c++
 		}
 	}
-	return (g.NumArcs()-loops)/2 + loops
 }
 
 // Directed reports whether the graph stores directed arcs.
@@ -99,9 +111,8 @@ func (g *Graph) Weighted() bool { return g.weights != nil }
 // neighbor >= v).
 func (g *Graph) HasEdge(u, v int32) bool {
 	if g.compact == nil {
-		nbr := g.adj[g.rowPtr[u]:g.rowPtr[u+1]]
-		i := sort.Search(len(nbr), func(i int) bool { return nbr[i] >= v })
-		return i < len(nbr) && nbr[i] == v
+		_, found := slices.BinarySearch(g.adj[g.rowPtr[u]:g.rowPtr[u+1]], v)
+		return found
 	}
 	for it := g.NeighborIter(u); ; {
 		w, ok := it.Next()

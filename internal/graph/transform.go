@@ -8,27 +8,19 @@ import "graphct/internal/par"
 //
 // The view is memoized: the first call symmetrizes and every later call —
 // including concurrent ones, which block on the first — returns the same
-// *Graph. Symmetrization is O(m log m); callers like the centrality kernels
-// and the serving path request the view once per kernel invocation, so
-// without the memo a resident directed graph would be re-symmetrized on
-// every request.
+// *Graph. Symmetrization sorts one key per arc; callers like the
+// centrality kernels and the serving path request the view once per kernel
+// invocation, so without the memo a resident directed graph would be
+// re-symmetrized on every request.
 func (g *Graph) Undirected() *Graph {
 	if !g.directed {
 		return g
 	}
 	g.undirectedOnce.Do(func() {
 		g.undirectedBuilds.Add(1)
-		edges := make([]Edge, 0, g.NumArcs())
-		for v := 0; v < g.NumVertices(); v++ {
-			for it := g.NeighborIter(int32(v)); ; {
-				w, ok := it.Next()
-				if !ok {
-					break
-				}
-				edges = append(edges, Edge{int32(v), w})
-			}
-		}
-		g.undirected, _ = FromEdges(g.NumVertices(), edges, Options{KeepSelfLoops: true})
+		b := idBits(g.NumVertices())
+		keys := g.emitKeys(func(u, w int32) uint64 { return uint64(min(u, w))<<b | uint64(max(u, w)) })
+		g.undirected = build(g.NumVertices(), keys, nil, Options{KeepSelfLoops: true})
 		if g.compact != nil {
 			// A compact directed graph gets a compact undirected view, so
 			// kernels that symmetrize first keep the small working set.
@@ -46,26 +38,39 @@ func (g *Graph) UndirectedBuilds() int {
 }
 
 // Reverse returns the transpose of a directed graph (in-neighbors become
-// out-neighbors). For undirected graphs it returns g.
+// out-neighbors), weights following their arcs. For undirected graphs it
+// returns g.
 func (g *Graph) Reverse() *Graph {
 	if !g.directed {
 		return g
 	}
-	edges := make([]Edge, 0, g.NumArcs())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(int32(v)) {
-			edges = append(edges, Edge{w, int32(v)})
+	b := idBits(g.NumVertices())
+	keys := g.emitKeys(func(u, w int32) uint64 { return uint64(w)<<b | uint64(u) })
+	return build(g.NumVertices(), keys, g.weights, Options{Directed: true, KeepDuplicates: true, KeepSelfLoops: true})
+}
+
+// emitKeys packs every arc u->w of g as key(u, w), one key per CSR slot
+// (so g.weights stays aligned with the result), in parallel over rows.
+func (g *Graph) emitKeys(key func(u, w int32) uint64) []uint64 {
+	keys := make([]uint64, g.NumArcs())
+	par.ForChunked(g.NumVertices(), 0, func(lo, hi int) {
+		var buf []int32
+		for u := lo; u < hi; u++ {
+			p := g.rowPtr[u]
+			for i, w := range g.NeighborsInto(&buf, int32(u)) {
+				keys[p+int64(i)] = key(int32(u), w)
+			}
 		}
-	}
-	r, _ := FromEdges(g.NumVertices(), edges, Options{Directed: true, KeepSelfLoops: true, KeepDuplicates: true})
-	return r
+	})
+	return keys
 }
 
 // Induced extracts the subgraph on the vertices with keep[v] == true,
 // relabeling vertices densely. It returns the subgraph and origID, where
 // origID[new] is the vertex id in g. Edges with either endpoint outside the
-// kept set are dropped. This is GraphCT's "extract a subgraph induced by a
-// coloring function".
+// kept set are dropped, repeated arcs collapse to their first instance, and
+// weights follow the arcs they belong to. This is GraphCT's "extract a
+// subgraph induced by a coloring function".
 func (g *Graph) Induced(keep []bool) (*Graph, []int32) {
 	n := g.NumVertices()
 	newID := make([]int32, n)
@@ -80,19 +85,57 @@ func (g *Graph) Induced(keep []bool) (*Graph, []int32) {
 			newID[v] = -1
 		}
 	}
-	var edges []Edge
-	for v := 0; v < n; v++ {
-		if !keep[v] {
-			continue
-		}
-		for _, w := range g.Neighbors(int32(v)) {
-			if keep[w] && (g.directed || w >= int32(v)) {
-				edges = append(edges, Edge{newID[v], newID[w]})
-			}
-		}
-	}
-	sub, _ := FromEdges(int(m), edges, Options{Directed: g.directed, KeepSelfLoops: true})
+	sub := g.filterRows(origID, func(_, w int32) int32 { return newID[w] }, true)
+	sub.directed = g.directed
 	return sub, origID
+}
+
+// filterRows builds the raw graph whose row r is g's row rows[r] mapped
+// through to, which drops an arc by returning -1 and must be increasing on
+// the arcs it keeps (a dense renaming of a kept set is), so mapped rows are
+// sorted as written and repeats collapse to their first instance (and its
+// weight, when keepWeights). One parallel pass counts each row, a second
+// writes it: no edge list, no sort.
+func (g *Graph) filterRows(rows []int32, to func(v, w int32) int32, keepWeights bool) *Graph {
+	n := len(rows)
+	rowPtr := make([]int64, n+1)
+	var adj, wts []int32
+	walk := func(fill bool) {
+		par.ForChunked(n, 0, func(lo, hi int) {
+			var buf []int32
+			for r := lo; r < hi; r++ {
+				v, p, last := rows[r], int64(0), int32(-1)
+				if fill {
+					p = rowPtr[r]
+				}
+				for i, w := range g.NeighborsInto(&buf, v) {
+					if w = to(v, w); w < 0 || w == last {
+						continue
+					}
+					if fill {
+						adj[p] = w
+						if wts != nil {
+							wts[p] = g.weights[g.rowPtr[v]+int64(i)]
+						}
+					}
+					p, last = p+1, w
+				}
+				if !fill {
+					rowPtr[r+1] = p
+				}
+			}
+		})
+	}
+	walk(false)
+	for r := 0; r < n; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	adj = make([]int32, rowPtr[n])
+	if keepWeights && g.weights != nil {
+		wts = make([]int32, rowPtr[n])
+	}
+	walk(true)
+	return &Graph{rowPtr: rowPtr, adj: adj, weights: wts}
 }
 
 // InducedByColor extracts the subgraph of vertices whose color matches c.
@@ -107,23 +150,16 @@ func (g *Graph) InducedByColor(colors []int32, c int32) (*Graph, []int32) {
 // pairs over the same vertex set. This is the paper's subcommunity
 // ("conversation") filter; self loops never count as reciprocal.
 func (g *Graph) ReciprocalCore() *Graph {
-	n := g.NumVertices()
-	buckets := make([][]Edge, n)
-	par.For(n, func(v int) {
-		var out []Edge
-		for _, w := range g.Neighbors(int32(v)) {
-			if w > int32(v) && g.HasEdge(w, int32(v)) {
-				out = append(out, Edge{int32(v), w})
-			}
-		}
-		buckets[v] = out
-	})
-	var edges []Edge
-	for _, b := range buckets {
-		edges = append(edges, b...)
+	rows := make([]int32, g.NumVertices())
+	for v := range rows {
+		rows[v] = int32(v)
 	}
-	core, _ := FromEdges(n, edges, Options{})
-	return core
+	return g.filterRows(rows, func(v, w int32) int32 {
+		if w != v && g.HasEdge(w, v) {
+			return w
+		}
+		return -1
+	}, false)
 }
 
 // DropIsolated removes vertices with no incident arcs in either direction,

@@ -231,6 +231,8 @@ func TestPropertyInducedEdgesMapBack(t *testing.T) {
 	}
 }
 
+// DedupEdges retired with the builders that used it; these tests pin the
+// copy in oracle_test.go that the differential tests take as the truth.
 func TestDedupEdgesLargeRadixPath(t *testing.T) {
 	// Exceed the radix threshold and verify against a map-based dedup.
 	rng := rand.New(rand.NewSource(4))
@@ -242,7 +244,7 @@ func TestDedupEdgesLargeRadixPath(t *testing.T) {
 	for _, e := range edges {
 		want[e.canon()] = true
 	}
-	out := DedupEdges(edges, true)
+	out := oracleDedupEdges(edges, true)
 	if len(out) != len(want) {
 		t.Fatalf("dedup kept %d, want %d", len(out), len(want))
 	}
@@ -263,7 +265,7 @@ func TestDedupEdgesNegativeFallsBack(t *testing.T) {
 	for i := range edges {
 		edges[i] = Edge{U: int32(i%5) - 2, V: int32(i%7) - 3}
 	}
-	out := DedupEdges(edges, false)
+	out := oracleDedupEdges(edges, false)
 	if len(out) != 35 {
 		t.Fatalf("negative dedup kept %d, want 35", len(out))
 	}
@@ -271,12 +273,12 @@ func TestDedupEdgesNegativeFallsBack(t *testing.T) {
 
 func TestDedupEdgesHelper(t *testing.T) {
 	edges := []Edge{{3, 1}, {1, 3}, {0, 2}, {0, 2}}
-	out := DedupEdges(edges, true)
+	out := oracleDedupEdges(edges, true)
 	if len(out) != 2 {
 		t.Fatalf("dedup undirected kept %d, want 2", len(out))
 	}
 	edges = []Edge{{3, 1}, {1, 3}, {1, 3}}
-	out = DedupEdges(edges, false)
+	out = oracleDedupEdges(edges, false)
 	if len(out) != 2 {
 		t.Fatalf("dedup directed kept %d, want 2", len(out))
 	}

@@ -19,7 +19,7 @@ func TestRadixSortSmall(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := append([]uint64(nil), c...)
-		RadixSortUint64(got)
+		RadixSortUint64(got, 64)
 		want := append([]uint64(nil), c...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for i := range want {
@@ -38,7 +38,7 @@ func TestRadixSortLargeMatchesStdlib(t *testing.T) {
 	}
 	want := append([]uint64(nil), a...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	RadixSortUint64(a)
+	RadixSortUint64(a, 64)
 	for i := range want {
 		if a[i] != want[i] {
 			t.Fatalf("mismatch at %d", i)
@@ -57,7 +57,7 @@ func TestRadixSortParallelPinned(t *testing.T) {
 	}
 	want := append([]uint64(nil), a...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	RadixSortUint64(a)
+	RadixSortUint64(a, 64)
 	for i := range want {
 		if a[i] != want[i] {
 			t.Fatalf("parallel mismatch at %d", i)
@@ -68,7 +68,7 @@ func TestRadixSortParallelPinned(t *testing.T) {
 func TestPropertyRadixSorted(t *testing.T) {
 	f := func(xs []uint64) bool {
 		a := append([]uint64(nil), xs...)
-		RadixSortUint64(a)
+		RadixSortUint64(a, 64)
 		if len(a) != len(xs) {
 			return false
 		}
@@ -92,6 +92,35 @@ func TestPropertyRadixSorted(t *testing.T) {
 	}
 }
 
+// A width below 64 sorts the low bits only and keeps the bits above them —
+// a payload — in input order among equal keys, at every worker count and
+// on both sides of the serial cut-off.
+func TestRadixSortWidthIsStable(t *testing.T) {
+	old := maxProcs
+	defer func() { maxProcs = old }()
+	for _, procs := range []int{1, 2, 3, 4} {
+		maxProcs = func() int { return procs }
+		for _, n := range []int{100, 1 << 13} {
+			for _, bits := range []int{1, 7, 12, 17, 32, 40} {
+				rng := rand.New(rand.NewSource(int64(n + bits)))
+				a := make([]uint64, n)
+				for i := range a {
+					a[i] = uint64(i)<<bits | rng.Uint64()&(1<<bits-1)
+				}
+				want := append([]uint64(nil), a...)
+				key := func(x uint64) uint64 { return x & (1<<bits - 1) }
+				sort.SliceStable(want, func(i, j int) bool { return key(want[i]) < key(want[j]) })
+				RadixSortUint64(a, bits)
+				for i := range want {
+					if a[i] != want[i] {
+						t.Fatalf("procs %d n %d bits %d: mismatch at %d", procs, n, bits, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkRadixVsStdlib(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	base := make([]uint64, 1<<20)
@@ -102,7 +131,7 @@ func BenchmarkRadixVsStdlib(b *testing.B) {
 		a := make([]uint64, len(base))
 		for i := 0; i < b.N; i++ {
 			copy(a, base)
-			RadixSortUint64(a)
+			RadixSortUint64(a, 64)
 		}
 	})
 	b.Run("stdlib", func(b *testing.B) {
