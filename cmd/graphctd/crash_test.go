@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -325,4 +327,104 @@ func graphsEqual(t *testing.T, got, want *graph.Graph) {
 			}
 		}
 	}
+}
+
+// TestPreloadKeepsUnrecoveredGraph: restarting with -graph NAME=live:N
+// over a durable graph whose recovery fails (every snapshot corrupted)
+// must not create an empty graph under that name — its first commit would
+// become the newest durable epoch and retention would prune the real
+// ones. The daemon exits non-zero with the recovery error instead, and
+// every durable file is byte-identical afterwards.
+func TestPreloadKeepsUnrecoveredGraph(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and kills real daemons; skipped in -short")
+	}
+	const vertices = 60
+	bin := buildDaemon(t)
+	dataDir := t.TempDir()
+	addr := freeAddr(t)
+	base := "http://" + addr
+	args := []string{
+		"-addr", addr,
+		"-data-dir", dataDir,
+		"-graph", "live=live:" + strconv.Itoa(vertices),
+		"-snapshot-every", "20",
+	}
+	daemon := startDaemon(t, bin, args)
+	waitReady(t, base)
+	for b, batch := range crashBatches(9, vertices, 4, 15) {
+		resp := postBatch(t, base, b, batch)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: HTTP %d", b, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	_ = daemon.Process.Kill()
+	_ = daemon.Wait()
+
+	snaps, err := filepath.Glob(filepath.Join(dataDir, "blobs", "live", "*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no durable snapshots: %v", err)
+	}
+	for _, p := range snaps {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := readFiles(t, dataDir)
+
+	var out bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Fatalf("daemon exited with %v, want a non-zero status\n%s", err, out.String())
+		}
+	case <-time.After(20 * time.Second):
+		_ = cmd.Process.Kill()
+		<-done
+		t.Fatalf("daemon kept running over an unrecovered graph\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), `recover "live"`) {
+		t.Fatalf("exit message does not carry the recovery error:\n%s", out.String())
+	}
+	after := readFiles(t, dataDir)
+	if len(after) != len(before) {
+		t.Fatalf("%d durable files before, %d after", len(before), len(after))
+	}
+	for p, data := range before {
+		if !bytes.Equal(after[p], data) {
+			t.Fatalf("%s changed", p)
+		}
+	}
+}
+
+// readFiles maps every file under dir to its contents.
+func readFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(p)
+		out[p] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

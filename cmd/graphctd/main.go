@@ -264,7 +264,9 @@ func main() {
 				}
 				// A recovered graph under the same name wins: the preload
 				// flag declares the graph should exist, recovery already
-				// restored its contents.
+				// restored its contents. A name whose recovery failed is
+				// refused by AddLive, so the daemon exits non-zero with the
+				// recovery error and leaves the durable state untouched.
 				if _, ok := reg.Get(name); ok {
 					log.Printf("live graph %q already recovered; keeping durable state", name)
 					continue

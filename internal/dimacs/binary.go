@@ -27,12 +27,15 @@ var binaryMagic = [4]byte{'G', 'C', 'T', 'B'}
 
 const binaryVersion = 1
 
-// WriteBinary serializes g to w in the binary CSR format.
+// binaryHeaderLen is the length of the fields before rowPtr.
+const binaryHeaderLen = 4 + 4 + 4 + 8 + 8
+
+// WriteBinary serializes g to w in the binary CSR format, in one pass:
+// fields are appended little-endian to a buffer of at most 1 MiB that is
+// written out whenever it fills. A w that can Grow (bytes.Buffer,
+// strings.Builder) is first grown by the image's exact size, so encoding
+// into memory allocates the image once.
 func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
 	var flags uint32
 	if g.Directed() {
 		flags |= 1
@@ -40,34 +43,54 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 	if g.Weighted() {
 		flags |= 2
 	}
-	for _, v := range []uint32{binaryVersion, flags} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+	rowPtr, adj, weights := g.RowPtr(), g.AdjArray(), g.WeightArray()
+	size := binaryHeaderLen + 8*len(rowPtr) + 4*(len(adj)+len(weights))
+	if gw, ok := w.(interface{ Grow(int) }); ok {
+		gw.Grow(size)
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, min(size, 1<<20))
+	buf = append(buf, binaryMagic[:]...)
+	buf = le.AppendUint32(buf, binaryVersion)
+	buf = le.AppendUint32(buf, flags)
+	buf = le.AppendUint64(buf, uint64(g.NumVertices()))
+	buf = le.AppendUint64(buf, uint64(g.NumArcs()))
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	for _, x := range rowPtr {
+		if len(buf)+8 > cap(buf) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		buf = le.AppendUint64(buf, uint64(x))
+	}
+	for _, arr := range [2][]int32{adj, weights} {
+		for _, x := range arr {
+			if len(buf)+4 > cap(buf) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			buf = le.AppendUint32(buf, uint32(x))
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(g.NumVertices())); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.NumArcs()); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.RowPtr()); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.AdjArray()); err != nil {
-		return err
-	}
-	if g.Weighted() {
-		if err := binary.Write(bw, binary.LittleEndian, g.WeightArray()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return flush()
 }
 
 // ReadBinary deserializes a graph written by WriteBinary, validating the
 // CSR invariants before returning it.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
+	// A reader that can say how many bytes it holds (bytes.Reader,
+	// strings.Reader, bytes.Buffer) lets the header's sizes be checked
+	// against them, and the arrays be allocated once at their final size.
+	avail := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		avail = int64(l.Len())
+	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -100,20 +123,29 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	if n > maxReasonable || arcs > maxReasonable {
 		return nil, fmt.Errorf("dimacs: implausible sizes n=%d arcs=%d", n, arcs)
 	}
-	// Arrays are read in bounded chunks so a corrupt header claiming a
-	// huge graph fails at the first truncated read instead of attempting
-	// one enormous allocation.
-	rowPtr, err := readInt64s(br, n+1)
+	payload := 8*(n+1) + 4*arcs
+	if flags&2 != 0 {
+		payload += 4 * arcs
+	}
+	if avail >= 0 && binaryHeaderLen+payload > avail {
+		return nil, fmt.Errorf("dimacs: header declares %d payload bytes, input holds %d: %w",
+			payload, avail-binaryHeaderLen, io.ErrUnexpectedEOF)
+	}
+	// Otherwise the arrays grow as their bytes arrive, read in bounded
+	// chunks, so a corrupt header claiming a huge graph fails at the first
+	// truncated read instead of attempting one enormous allocation.
+	exact := avail >= 0
+	rowPtr, err := readInt64s(br, n+1, exact)
 	if err != nil {
 		return nil, fmt.Errorf("dimacs: rowPtr: %w", err)
 	}
-	adj, err := readInt32s(br, arcs)
+	adj, err := readInt32s(br, arcs, exact)
 	if err != nil {
 		return nil, fmt.Errorf("dimacs: adjacency: %w", err)
 	}
 	var weights []int32
 	if flags&2 != 0 {
-		weights, err = readInt32s(br, arcs)
+		weights, err = readInt32s(br, arcs, exact)
 		if err != nil {
 			return nil, fmt.Errorf("dimacs: weights: %w", err)
 		}
@@ -123,39 +155,46 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 
 const readChunk = 1 << 18 // elements per chunked read
 
-func readInt64s(r io.Reader, n int64) ([]int64, error) {
-	out := make([]int64, 0, min64(n, readChunk))
-	for remaining := n; remaining > 0; {
-		c := min64(remaining, readChunk)
-		buf := make([]int64, c)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+// readInt64s decodes n little-endian int64s straight into the returned
+// slice, allocated at its final size when exact.
+func readInt64s(r io.Reader, n int64, exact bool) ([]int64, error) {
+	c := min(n, readChunk)
+	if exact {
+		c = n
+	}
+	out := make([]int64, 0, c)
+	raw := make([]byte, 8*min(n, readChunk))
+	for int64(len(out)) < n {
+		b := raw[:8*min(n-int64(len(out)), readChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		out = append(out, buf...)
-		remaining -= c
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, int64(binary.LittleEndian.Uint64(b[i:])))
+		}
 	}
 	return out, nil
 }
 
-func readInt32s(r io.Reader, n int64) ([]int32, error) {
-	out := make([]int32, 0, min64(n, readChunk))
-	for remaining := n; remaining > 0; {
-		c := min64(remaining, readChunk)
-		buf := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+// readInt32s decodes n little-endian int32s straight into the returned
+// slice, allocated at its final size when exact.
+func readInt32s(r io.Reader, n int64, exact bool) ([]int32, error) {
+	c := min(n, readChunk)
+	if exact {
+		c = n
+	}
+	out := make([]int32, 0, c)
+	raw := make([]byte, 4*min(n, readChunk))
+	for int64(len(out)) < n {
+		b := raw[:4*min(n-int64(len(out)), readChunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		out = append(out, buf...)
-		remaining -= c
+		for i := 0; i < len(b); i += 4 {
+			out = append(out, int32(binary.LittleEndian.Uint32(b[i:])))
+		}
 	}
 	return out, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // SaveBinary writes g to the named file.

@@ -3,8 +3,11 @@ package dimacs
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -381,5 +384,82 @@ func TestPropertyTextRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// binaryShapes are the graphs the binary format must carry byte for byte:
+// a hub, a long path, a clique, many components, isolated vertices, loops
+// and repeated arcs, directed arcs, weights, a compact graph, a graph
+// whose image spans several 1 MiB write chunks, and the empty graphs.
+func binaryShapes(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	build := func(n int, edges []graph.Edge, opt graph.Options) *graph.Graph {
+		g, err := graph.FromEdges(n, edges, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	rng := rand.New(rand.NewSource(24))
+	var wheel, multi []graph.Edge
+	for v := int32(1); v <= 2000; v++ {
+		wheel = append(wheel, graph.Edge{U: 0, V: v}, graph.Edge{U: v, V: v%2000 + 1})
+	}
+	for i := 0; i < 3000; i++ {
+		u := int32(rng.Intn(200))
+		multi = append(multi, graph.Edge{U: u, V: u}, graph.Edge{U: u, V: int32(rng.Intn(200))})
+	}
+	weighted, err := graph.FromWeightedEdges(30, wedges(29), graph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmat := gen.RMAT(gen.PaperRMAT(12, 5))
+	return map[string]*graph.Graph{
+		"hub-wheel":       build(2001, wheel, graph.Options{}),
+		"path":            gen.Path(10000),
+		"clique":          gen.Complete(120),
+		"components":      gen.Disjoint(gen.Ring(5), gen.Complete(4), gen.Path(3), gen.Ring(7)),
+		"isolated":        build(5000, []graph.Edge{{U: 3, V: 4900}, {U: 7, V: 4999}}, graph.Options{}),
+		"loops-multi":     build(200, multi, graph.Options{KeepSelfLoops: true, KeepDuplicates: true}),
+		"directed":        build(200, multi, graph.Options{Directed: true}),
+		"weighted":        weighted,
+		"rmat-12":         rmat,
+		"rmat-12-compact": rmat.Compact(),
+		"rmat-14":         gen.RMAT(gen.PaperRMAT(14, 5)),
+		"no-edges":        build(7, nil, graph.Options{}),
+		"no-vertices":     build(0, nil, graph.Options{}),
+	}
+}
+
+// The one-pass encoder writes exactly the retired encoder's bytes, to
+// writers that can Grow and writers that cannot, and ReadBinary decodes
+// them back — sized from the input when the reader knows its length,
+// chunk by chunk when it does not.
+func TestWriteBinaryMatchesOracle(t *testing.T) {
+	for name, g := range binaryShapes(t) {
+		var want, got bytes.Buffer
+		if err := oracleWriteBinary(&want, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteBinary(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: %d bytes differ from the retired encoder's %d", name, got.Len(), want.Len())
+		}
+		var plain strings.Builder
+		if err := WriteBinary(&writerAdapter{&plain}, g); err != nil || plain.String() != want.String() {
+			t.Fatalf("%s: encoding through a plain writer differs (err %v)", name, err)
+		}
+		for _, r := range []io.Reader{bytes.NewReader(want.Bytes()), struct{ io.Reader }{bytes.NewReader(want.Bytes())}} {
+			back, err := ReadBinary(r)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !slices.Equal(back.RowPtr(), g.RowPtr()) || !slices.Equal(back.AdjArray(), g.AdjArray()) ||
+				!slices.Equal(back.WeightArray(), g.WeightArray()) || back.Directed() != g.Directed() {
+				t.Fatalf("%s: round trip through %T differs", name, r)
+			}
+		}
 	}
 }

@@ -2,11 +2,16 @@ package dimacs
 
 // The line parsers this package shipped before they scanned fields in
 // place, kept verbatim (renamed) as the differential oracle for
-// FuzzChunkParsersMatchOracle: edges and every error text must agree.
+// FuzzChunkParsersMatchOracle: edges and every error text must agree. The
+// binary encoder before it wrote in one pass is kept the same way for
+// TestWriteBinaryMatchesOracle: the bytes must not change.
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"strconv"
 
 	"graphct/internal/graph"
@@ -98,4 +103,43 @@ func oracleParseEdgeChunk(chunk []byte) ([]graph.Edge, int32, error) {
 		edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
 	}
 	return edges, max, nil
+}
+
+// oracleWriteBinary is the retired WriteBinary. It serializes g to w in the
+// binary CSR format.
+func oracleWriteBinary(w io.Writer, g *graph.Graph) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	if _, err := bw.Write(binaryMagic[:]); err != nil {
+		return err
+	}
+	var flags uint32
+	if g.Directed() {
+		flags |= 1
+	}
+	if g.Weighted() {
+		flags |= 2
+	}
+	for _, v := range []uint32{binaryVersion, flags} {
+		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+			return err
+		}
+	}
+	if err := binary.Write(bw, binary.LittleEndian, int64(g.NumVertices())); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, g.NumArcs()); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, g.RowPtr()); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, g.AdjArray()); err != nil {
+		return err
+	}
+	if g.Weighted() {
+		if err := binary.Write(bw, binary.LittleEndian, g.WeightArray()); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

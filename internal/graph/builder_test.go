@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -497,4 +498,50 @@ func BenchmarkRelabelRMAT16(b *testing.B) {
 			oracleRelabel(g, oracleDegreePerm(g))
 		}
 	})
+}
+
+// NumEdges is counted once per graph and shared by concurrent callers;
+// IncrementalCSR records it at construction. Every caller sees the
+// retired count.
+func TestNumEdgesMemoized(t *testing.T) {
+	var graphs []*Graph
+	for _, s := range builderShapes() {
+		for _, opt := range allOptions() {
+			g, err := FromEdges(s.n, s.edges, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, g, g.Compact())
+		}
+	}
+	d := newDynAdj(300)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		if u, v := int32(rng.Intn(300)), int32(rng.Intn(300)); u != v {
+			d.add(u, v)
+		}
+	}
+	live, err := IncrementalCSR(nil, 300, d.deg(), nil, d.fill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, live)
+	for i, g := range graphs {
+		want := oracleNumEdges(g)
+		got := make([]int64, 8)
+		var wg sync.WaitGroup
+		for c := range got {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				got[c] = g.NumEdges()
+			}(c)
+		}
+		wg.Wait()
+		for _, e := range got {
+			if e != want {
+				t.Fatalf("graph %d: NumEdges %v, oracle %d", i, got, want)
+			}
+		}
+	}
 }

@@ -33,6 +33,11 @@ type Graph struct {
 	undirectedOnce   sync.Once
 	undirected       *Graph
 	undirectedBuilds atomic.Int32
+
+	// edgesOnce memoizes NumEdges the same way: every GET /graphs and
+	// /stats asks for it. IncrementalCSR fills it at construction.
+	edgesOnce sync.Once
+	edges     int64
 }
 
 // NumVertices returns the number of vertices.
@@ -43,15 +48,20 @@ func (g *Graph) NumVertices() int { return len(g.rowPtr) - 1 }
 func (g *Graph) NumArcs() int64 { return g.rowPtr[len(g.rowPtr)-1] }
 
 // NumEdges returns the number of logical edges: arcs for a directed graph,
-// arcs/2 (plus any self loops counted once) for an undirected graph. It
-// finds each vertex's loops by binary search in its own sorted row, in
-// parallel — O(n log d), not a walk over every arc.
+// arcs/2 (plus any self loops counted once) for an undirected graph. The
+// first call finds each vertex's loops by binary search in its own sorted
+// row, in parallel — O(n log d), not a walk over every arc — and later
+// calls return the memoized count.
 func (g *Graph) NumEdges() int64 {
-	if g.directed {
-		return g.NumArcs()
-	}
-	loops := par.ReduceSum(g.NumVertices(), func(v int) int64 { return g.selfLoops(int32(v)) })
-	return (g.NumArcs()-loops)/2 + loops
+	g.edgesOnce.Do(func() {
+		if g.directed {
+			g.edges = g.NumArcs()
+			return
+		}
+		loops := par.ReduceSum(g.NumVertices(), func(v int) int64 { return g.selfLoops(int32(v)) })
+		g.edges = (g.NumArcs()-loops)/2 + loops
+	})
+	return g.edges
 }
 
 // selfLoops counts the v->v arcs in row v (more than one on a multigraph).

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"graphct/internal/par"
 )
@@ -14,15 +13,17 @@ import (
 // deg[v] must be the current degree of every vertex. For vertices with
 // dirty[v] == false the adjacency run is copied verbatim from prev (their
 // degree must be unchanged); dirty vertices are filled by fill(v, dst),
-// which writes exactly deg[v] neighbor ids into dst in any order — the
-// builder sorts them. A nil prev (or nil dirty) rebuilds every vertex.
+// which writes exactly deg[v] neighbor ids into dst in ascending order,
+// none equal to v. Nothing is sorted here: a row filled out of order
+// yields a graph Validate rejects. Because rows hold no self loops, the
+// edge count is half the arcs and is recorded at construction. A nil prev
+// (or nil dirty) rebuilds every vertex.
 //
 // The previous snapshot's arrays are never written: prior epochs stay
 // immutable because in-flight readers (kernel requests resolved against an
 // older registry entry) may still be traversing them. "Incremental" here
-// means the per-vertex sorting and set iteration — the expensive part of
-// materialization — is paid only for vertices an update actually touched;
-// clean runs are block copies.
+// means fill — the caller's walk over its dynamic structure — runs only
+// for vertices an update actually touched; clean runs are block copies.
 func IncrementalCSR(prev *Graph, n int, deg []int64, dirty []bool, fill func(v int32, dst []int32)) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -52,9 +53,8 @@ func IncrementalCSR(prev *Graph, n int, deg []int64, dirty []bool, fill func(v i
 			return
 		}
 		fill(int32(v), dst)
-		if len(dst) > 1 {
-			sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-		}
 	})
-	return &Graph{rowPtr: rowPtr, adj: adj, directed: false}, nil
+	g := &Graph{rowPtr: rowPtr, adj: adj, directed: false}
+	g.edgesOnce.Do(func() { g.edges = sum / 2 })
+	return g, nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -22,6 +23,7 @@ func (d dynAdj) fill(v int32, dst []int32) {
 		dst[i] = w
 		i++
 	}
+	slices.Sort(dst) // IncrementalCSR takes rows in ascending order
 }
 
 func (d dynAdj) add(u, v int32) {
@@ -127,5 +129,28 @@ func TestIncrementalCSRErrors(t *testing.T) {
 	dirty := []bool{false, false, true} // vertex 1 changed but not marked
 	if _, err := IncrementalCSR(prev, 3, d.deg(), dirty, d.fill); err == nil {
 		t.Fatal("clean-vertex degree change accepted")
+	}
+}
+
+// IncrementalCSR sorts nothing: a fill that breaks the ascending-order
+// contract yields a graph Validate rejects.
+func TestIncrementalCSRUnsortedFillFailsValidate(t *testing.T) {
+	d := newDynAdj(4)
+	d.add(0, 1)
+	d.add(0, 2)
+	d.add(0, 3)
+	descending := func(v int32, dst []int32) {
+		d.fill(v, dst)
+		slices.Reverse(dst)
+	}
+	g, err := IncrementalCSR(nil, 4, d.deg(), nil, descending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Validate() == nil {
+		t.Fatal("Validate accepted a row filled in descending order")
+	}
+	if sorted, _ := IncrementalCSR(nil, 4, d.deg(), nil, d.fill); sorted.Validate() != nil {
+		t.Fatal("ascending fill rejected")
 	}
 }

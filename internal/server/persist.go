@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -113,9 +114,17 @@ func (s *Server) walSegments(name string) ([]uint64, error) {
 // AddLive creates a live graph, and — when durability is enabled — commits
 // its initial empty snapshot and opens its first log segment before
 // acknowledging, so the graph exists after a crash that follows the 201.
+//
+// A name whose durable state RecoverAll could not rebuild is refused:
+// the empty graph's first commit would become that name's newest durable
+// epoch, and retention would then prune the snapshots that still hold the
+// real graph.
 func (s *Server) AddLive(name string, n int) (*GraphEntry, error) {
 	if s.durable() && !liveNameRe.MatchString(name) {
 		return nil, fmt.Errorf("durable live graph name %q must match %s", name, liveNameRe)
+	}
+	if err, ok := s.unrecovered.Load(name); ok {
+		return nil, fmt.Errorf("live graph %q has durable state that did not recover; not creating an empty graph over it: %w", name, err.(error))
 	}
 	e, err := s.reg.AddLive(name, n)
 	if err != nil {
@@ -245,8 +254,10 @@ func (s *Server) dropDurable(name string, live *Live) {
 // newest loadable snapshot + in-order log replay, published at a fresh
 // epoch and re-persisted so the steady-state invariant (newest snapshot
 // epoch == open segment base) holds again. It returns how many graphs
-// were recovered. Callers flip SetRecovering around it so /readyz
-// reports the replay.
+// were recovered, and an error joining one error per graph that was not,
+// each naming its graph; AddLive refuses those names until a later
+// RecoverAll rebuilds them. Callers flip SetRecovering around it so
+// /readyz reports the replay.
 func (s *Server) RecoverAll() (int, error) {
 	if !s.durable() {
 		return 0, nil
@@ -284,7 +295,7 @@ func (s *Server) RecoverAll() (int, error) {
 	advanceEpochCounter(maxEpoch)
 
 	recovered := 0
-	var firstErr error
+	var errs []error
 	sorted := make([]string, 0, len(names))
 	for name := range names {
 		sorted = append(sorted, name)
@@ -292,16 +303,17 @@ func (s *Server) RecoverAll() (int, error) {
 	sort.Strings(sorted)
 	for _, name := range sorted {
 		if err := s.recoverGraph(name); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("recover %q: %w", name, err)
-			}
+			err = fmt.Errorf("recover %q: %w", name, err)
+			s.unrecovered.Store(name, err)
+			errs = append(errs, err)
 			continue
 		}
+		s.unrecovered.Delete(name)
 		recovered++
 	}
 	s.metrics.RecoveredGraphs.Add(int64(recovered))
 	s.metrics.RecoveryMs.Store(time.Since(start).Milliseconds())
-	return recovered, firstErr
+	return recovered, errors.Join(errs...)
 }
 
 // loadNewestSnapshot returns the newest snapshot of name that passes its

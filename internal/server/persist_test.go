@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphct/internal/cluster"
@@ -274,6 +276,92 @@ func TestWarmRestartApplyPanicIsolated(t *testing.T) {
 		t.Fatalf("second RecoverAll = %d, %v; want 1, nil", n, err)
 	}
 	assertRecoveredMatches(t, s2, "g", cleanReplay(t, vertices, workload, 1))
+}
+
+// TestAddLiveRefusesUnrecoveredGraph: a name whose recovery failed —
+// every retained snapshot corrupt — cannot be recreated empty (that would
+// commit the newest durable epoch and let retention prune the real ones);
+// its durable files stay byte-identical, and a later successful recovery
+// lifts the refusal.
+func TestAddLiveRefusesUnrecoveredGraph(t *testing.T) {
+	const vertices = 30
+	dir := t.TempDir()
+	workload := soakBatches(3, vertices, 4, 10)
+	s1 := newDurableServer(t, dir, Config{SnapshotEvery: 15})
+	if _, err := s1.AddLive("g", vertices); err != nil {
+		t.Fatal(err)
+	}
+	for i, batch := range workload {
+		ingestDirect(t, s1, "g", fmt.Sprintf("b-%d", i), batch)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "blobs", "g", "*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshots: %v", err)
+	}
+	originals := map[string][]byte{}
+	for _, p := range snaps {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		originals[p] = data
+		bad := append([]byte(nil), data...)
+		bad[len(bad)/2] ^= 0xff
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := readTree(t, dir)
+
+	s2 := newDurableServer(t, dir, Config{})
+	if n, err := s2.RecoverAll(); n != 0 || err == nil || !strings.Contains(err.Error(), `recover "g"`) {
+		t.Fatalf("RecoverAll over corrupt snapshots = %d, %v; want 0 and an error naming g", n, err)
+	}
+	if _, err := s2.AddLive("g", vertices); err == nil {
+		t.Fatal("AddLive created an empty graph over an unrecovered one")
+	}
+	if _, err := s2.AddLive("other", vertices); err != nil {
+		t.Fatalf("AddLive(other): %v", err)
+	}
+	after := readTree(t, dir)
+	for p, data := range before {
+		if !bytes.Equal(after[p], data) {
+			t.Fatalf("%s changed after the refused AddLive", p)
+		}
+	}
+	for p := range after {
+		if _, ok := before[p]; !ok && strings.Contains(p, string(filepath.Separator)+"g"+string(filepath.Separator)) {
+			t.Fatalf("%s appeared after the refused AddLive", p)
+		}
+	}
+
+	for p, data := range originals {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s2.RecoverAll(); err != nil || n != 2 {
+		t.Fatalf("RecoverAll after repair = %d, %v; want 2, nil", n, err)
+	}
+	assertRecoveredMatches(t, s2, "g", cleanReplay(t, vertices, workload, len(workload)))
+}
+
+// readTree maps every file under dir to its contents.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(p)
+		out[p] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestWALFailureForcesDurableSnapshot: when an append fails, the batch is

@@ -89,8 +89,10 @@ type Registry struct {
 	m  map[string]*GraphEntry
 
 	// Layout is applied to every graph loaded from a file (Load). Live
-	// graphs are exempt: IncrementalCSR mutates rows in place, so they
-	// stay raw and in ingest order.
+	// graphs are exempt: each epoch is assembled by IncrementalCSR from
+	// raw rows in the ids clients ingest — clean rows copied from the
+	// previous epoch, dirty ones from the stream — so they stay raw and
+	// in ingest order.
 	Layout graph.Layout
 }
 

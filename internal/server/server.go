@@ -143,9 +143,12 @@ type Server struct {
 	// "recovering" (still 503) while RecoverAll rebuilds live graphs.
 	recovering atomic.Bool
 
-	// Durability state; store is nil without Config.DataDir.
-	store  *blob.FS
-	walDir string
+	// Durability state; store is nil without Config.DataDir. unrecovered
+	// maps each name whose durable state RecoverAll could not rebuild to
+	// that error (see AddLive).
+	store       *blob.FS
+	walDir      string
+	unrecovered sync.Map
 
 	// hist caches point-in-time entries loaded for ?epoch=E reads.
 	histMu sync.Mutex

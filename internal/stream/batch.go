@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"graphct/internal/failpoint"
@@ -19,6 +21,8 @@ type pair struct{ lo, hi int32 }
 
 func (p pair) key() int64 { return int64(p.lo)<<32 | int64(uint32(p.hi)) }
 
+func cmpPair(a, b pair) int { return cmp.Compare(a.key(), b.key()) }
+
 // ApplyBatch applies a batch of updates, parallelizing the work inside the
 // batch while leaving the stream's single-writer contract to the caller
 // (graphctd serializes batches per graph under a writer lock).
@@ -26,24 +30,28 @@ func (p pair) key() int64 { return int64(p.lo)<<32 | int64(uint32(p.hi)) }
 // The whole batch is validated before anything mutates, so an error means
 // the stream is unchanged. The batch is then split into maximal runs of
 // same-op updates (inserts accrete, deletes reverse; runs preserve the
-// caller's op ordering). Each run is applied in phases:
+// caller's op ordering). Inside a run only each edge's presence matters, so
+// the run is first reduced to its distinct edges in ascending order — an
+// in-run duplicate is the adjacent repeat the sort removes. Each run is
+// then applied in phases:
 //
-//  1. adjacency mutation, parallel over vertex shards: every vertex
-//     belongs to exactly one shard, each shard scans the run entries
-//     touching its vertices in batch order and mutates only the adjacency
-//     sets it owns. Both endpoint shards of an edge see the same
-//     pre-state and the same in-run duplicate history, so they reach the
-//     same new/duplicate verdict independently, keeping the sets
-//     symmetric without cross-shard coordination;
+//  1. row mutation, parallel over vertex shards: every vertex belongs to
+//     exactly one shard, and each shard inserts into (or deletes from) only
+//     the sorted rows it owns, by binary search. Both endpoint shards of an
+//     edge see the same pre-state, so they reach the same new/duplicate
+//     verdict independently, keeping the rows symmetric without
+//     cross-shard coordination; the lo endpoint's verdict is recorded;
 //  2. triangle maintenance, parallel over the run's effective edges with
-//     atomic adds: a triangle whose membership changed is discovered once
-//     from each of its k changed edges, and each discovery contributes
-//     triScale/k per corner — summing to exactly triScale (one triangle)
-//     no matter how many batch edges it shares. This is the streaming
-//     paper's batched clustering-coefficient update, kept in integers by
-//     the fixed-point counter.
+//     atomic adds: each edge intersects its endpoint rows, and a triangle
+//     whose membership changed is discovered once from each of its k
+//     changed edges (k is read by binary search in the sorted run), each
+//     discovery contributing triScale/k per corner — summing to exactly
+//     triScale (one triangle) no matter how many batch edges it shares.
+//     This is the streaming paper's batched clustering-coefficient update,
+//     kept in integers by the fixed-point counter.
 //
-// The result bit-matches applying the same updates one at a time.
+// Deletions run phase 2 first, while the rows still hold the edges. The
+// result bit-matches applying the same updates one at a time.
 func (s *Stream) ApplyBatch(batch []Update) (BatchResult, error) {
 	// Injection point for the chaos harness: firing here, before any
 	// validation or mutation, guarantees an injected failure leaves the
@@ -79,7 +87,8 @@ func (s *Stream) ApplyBatch(batch []Update) (BatchResult, error) {
 	return res, nil
 }
 
-// normalize orients each update's endpoints lo < hi and drops self loops.
+// normalize orients each update's endpoints lo < hi, drops self loops and
+// returns the run's distinct edges in ascending order.
 func normalize(run []Update) []pair {
 	out := make([]pair, 0, len(run))
 	for _, up := range run {
@@ -90,7 +99,8 @@ func normalize(run []Update) []pair {
 			out = append(out, pair{up.V, up.U})
 		}
 	}
-	return out
+	slices.SortFunc(out, cmpPair)
+	return slices.Compact(out)
 }
 
 // shardCount picks a power-of-two shard count with a few shards per
@@ -121,113 +131,52 @@ func bucketize(run []pair, shards int) [][]int32 {
 
 // insertRun applies one run of insertions and returns the new-edge count.
 func (s *Stream) insertRun(run []pair) int {
-	if len(run) == 0 {
-		return 0
-	}
-	shards := shardCount()
-	mask := int32(shards - 1)
-	buckets := bucketize(run, shards)
-
-	// Phase 1: sharded adjacency mutation. The lo-side shard doubles as
-	// the edge's owner, recording effective (new) edges exactly once.
-	newEdges := make([][]pair, shards)
-	dirtied := make([][]int32, shards)
-	par.ForChunked(shards, 1, func(sLo, sHi int) {
-		for sid := sLo; sid < sHi; sid++ {
-			for _, i := range buckets[sid] {
-				e := run[i]
-				if e.lo&mask == int32(sid) {
-					if _, dup := s.adj[e.lo][e.hi]; !dup {
-						s.adj[e.lo][e.hi] = struct{}{}
-						newEdges[sid] = append(newEdges[sid], e)
-						if !s.dirty[e.lo] {
-							s.dirty[e.lo] = true
-							dirtied[sid] = append(dirtied[sid], e.lo)
-						}
-					}
-				}
-				if e.hi&mask == int32(sid) {
-					if _, dup := s.adj[e.hi][e.lo]; !dup {
-						s.adj[e.hi][e.lo] = struct{}{}
-						if !s.dirty[e.hi] {
-							s.dirty[e.hi] = true
-							dirtied[sid] = append(dirtied[sid], e.hi)
-						}
-					}
-				}
-			}
-		}
-	})
-	fresh := s.mergeShardState(newEdges, dirtied)
+	fresh := s.editRows(run, insertSorted)
 	s.edges += int64(len(fresh))
 	s.sinceSnap += int64(len(fresh))
-
-	// Phase 2: batched triangle update over the post-insert adjacency.
 	s.triangleDelta(fresh, +1)
 	return len(fresh)
 }
 
 // deleteRun applies one run of deletions and returns the removed count.
 func (s *Stream) deleteRun(run []pair) int {
+	gone := slices.DeleteFunc(run, func(e pair) bool { return !s.HasEdge(e.lo, e.hi) })
+	s.triangleDelta(gone, -1)
+	s.editRows(gone, removeSorted)
+	s.edges -= int64(len(gone))
+	s.sinceSnap += int64(len(gone))
+	return len(gone)
+}
+
+// editRows is phase 1: it applies edit to both endpoint rows of every run
+// edge, in parallel over vertex shards, marks the vertices whose row
+// changed dirty, and returns the run edges whose edit took effect, still
+// in ascending order. It reuses run's storage for the result.
+func (s *Stream) editRows(run []pair, edit func(row []int32, w int32) ([]int32, bool)) []pair {
 	if len(run) == 0 {
-		return 0
+		return run
 	}
 	shards := shardCount()
 	mask := int32(shards - 1)
 	buckets := bucketize(run, shards)
-
-	// Phase 1: each edge's owner shard decides which deletions take
-	// effect (edge present and not already claimed by an earlier run
-	// entry), without mutating — the triangle update needs the pre-delete
-	// adjacency.
-	removed := make([][]pair, shards)
+	took := make([]bool, len(run))
+	dirtied := make([][]int32, shards)
 	par.ForChunked(shards, 1, func(sLo, sHi int) {
 		for sid := sLo; sid < sHi; sid++ {
-			var claimed map[int64]struct{}
 			for _, i := range buckets[sid] {
 				e := run[i]
-				if e.lo&mask != int32(sid) {
-					continue
-				}
-				if _, ok := s.adj[e.lo][e.hi]; !ok {
-					continue
-				}
-				if claimed == nil {
-					claimed = make(map[int64]struct{})
-				}
-				if _, dup := claimed[e.key()]; dup {
-					continue
-				}
-				claimed[e.key()] = struct{}{}
-				removed[sid] = append(removed[sid], e)
-			}
-		}
-	})
-	var gone []pair
-	for _, part := range removed {
-		gone = append(gone, part...)
-	}
-	if len(gone) == 0 {
-		return 0
-	}
-
-	// Phase 2: subtract destroyed triangles against the pre-delete state.
-	s.triangleDelta(gone, -1)
-
-	// Phase 3: sharded removal. Re-bucket just the effective deletions;
-	// each shard deletes the adjacency entries of the vertices it owns.
-	dirtied := make([][]int32, shards)
-	goneBuckets := bucketize(gone, shards)
-	par.ForChunked(shards, 1, func(sLo, sHi int) {
-		for sid := sLo; sid < sHi; sid++ {
-			for _, i := range goneBuckets[sid] {
-				e := gone[i]
 				for _, v := range [2]int32{e.lo, e.hi} {
 					if v&mask != int32(sid) {
 						continue
 					}
-					o := e.lo ^ e.hi ^ v // the other endpoint
-					delete(s.adj[v], o)
+					row, ok := edit(s.adj[v], e.lo^e.hi^v) // the other endpoint
+					if !ok {
+						continue
+					}
+					s.adj[v] = row
+					if v == e.lo {
+						took[i] = true
+					}
 					if !s.dirty[v] {
 						s.dirty[v] = true
 						dirtied[sid] = append(dirtied[sid], v)
@@ -239,65 +188,39 @@ func (s *Stream) deleteRun(run []pair) int {
 	for _, part := range dirtied {
 		s.dirtyList = append(s.dirtyList, part...)
 	}
-	s.edges -= int64(len(gone))
-	s.sinceSnap += int64(len(gone))
-	return len(gone)
-}
-
-// mergeShardState folds per-shard new-edge and dirty lists into the
-// stream's sequential bookkeeping.
-func (s *Stream) mergeShardState(newEdges [][]pair, dirtied [][]int32) []pair {
-	var fresh []pair
-	for _, part := range newEdges {
-		fresh = append(fresh, part...)
+	out := run[:0]
+	for i, e := range run {
+		if took[i] {
+			out = append(out, e)
+		}
 	}
-	for _, part := range dirtied {
-		s.dirtyList = append(s.dirtyList, part...)
-	}
-	return fresh
+	return out
 }
 
 // triangleDelta applies the batched triangle correction for the changed
-// edges: for inserts (sign +1) the adjacency already holds the run's new
-// edges; for deletes (sign -1) it still holds the edges being removed. A
-// triangle with k changed edges is discovered from each of them; each
-// discovery credits triScale/k per corner so the triangle nets exactly
-// one count at every corner.
+// edges (distinct, ascending): for inserts (sign +1) the rows already hold
+// the run's new edges; for deletes (sign -1) they still hold the edges
+// being removed. A triangle with k changed edges is discovered from each
+// of them; each discovery credits triScale/k per corner so the triangle
+// nets exactly one count at every corner.
 func (s *Stream) triangleDelta(changed []pair, sign int64) {
 	if len(changed) == 0 {
 		return
 	}
-	inRun := make(map[int64]struct{}, len(changed))
-	for _, e := range changed {
-		inRun[e.key()] = struct{}{}
-	}
-	isChanged := func(a, b int32) int64 {
-		p := pair{a, b}
-		if a > b {
-			p = pair{b, a}
-		}
-		if _, ok := inRun[p.key()]; ok {
+	inRun := func(a, b int32) int64 {
+		if _, ok := slices.BinarySearchFunc(changed, pair{min(a, b), max(a, b)}, cmpPair); ok {
 			return 1
 		}
 		return 0
 	}
 	par.ForChunked(len(changed), 32, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := changed[i]
-			u, v := e.lo, e.hi
-			if len(s.adj[u]) > len(s.adj[v]) {
-				u, v = v, u
-			}
-			for w := range s.adj[u] {
-				if _, ok := s.adj[v][w]; !ok {
-					continue
-				}
-				k := 1 + isChanged(e.lo, w) + isChanged(e.hi, w)
-				d := sign * (triScale / k)
+		for _, e := range changed[lo:hi] {
+			forCommon(s.adj[e.lo], s.adj[e.hi], func(w int32) {
+				d := sign * (triScale / (1 + inRun(e.lo, w) + inRun(e.hi, w)))
 				atomic.AddInt64(&s.tri6[e.lo], d)
 				atomic.AddInt64(&s.tri6[e.hi], d)
 				atomic.AddInt64(&s.tri6[w], d)
-			}
+			})
 		}
 	})
 }

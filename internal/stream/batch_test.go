@@ -34,7 +34,7 @@ func assertStreamsEqual(t *testing.T, got, want *Stream) {
 		if got.Degree(v) != want.Degree(v) {
 			t.Fatalf("degree(%d) %d != %d", v, got.Degree(v), want.Degree(v))
 		}
-		for w := range want.adj[v] {
+		for _, w := range want.adj[v] {
 			if !got.HasEdge(v, w) {
 				t.Fatalf("missing edge {%d,%d}", v, w)
 			}

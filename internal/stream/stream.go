@@ -5,14 +5,15 @@
 // social graphs change over time, and recomputing metrics from scratch per
 // batch wastes the structure shared between snapshots.
 //
-// A Stream ingests timestamped interaction edges, maintains a dynamic
-// adjacency structure, incrementally tracks per-vertex triangle counts
-// (so clustering coefficients are always available in O(1)), and can
-// materialize a CSR snapshot for the static kernels at any point.
-// Snapshots are incremental: each materialization copies the adjacency of
-// untouched vertices from the previous snapshot and rebuilds only the
-// vertices updates dirtied, so steady-state snapshot cost tracks the
-// update rate, not the graph size times log degree.
+// A Stream ingests timestamped interaction edges, keeps each vertex's
+// neighbors in one sorted, duplicate-free row (the packed per-vertex
+// array of STINGER and of NetworKit's dynamic graph), incrementally tracks
+// per-vertex triangle counts (so clustering coefficients are always
+// available in O(1)), and can materialize a CSR snapshot for the static
+// kernels at any point. Snapshots are incremental: each materialization
+// copies the adjacency of untouched vertices from the previous snapshot
+// and copies only the rows updates dirtied — already sorted — so
+// steady-state snapshot cost tracks the update rate, not the graph size.
 //
 // Batches are the concurrency unit, as in the streaming paper: ApplyBatch
 // parallelizes one batch internally over vertex shards (see batch.go),
@@ -23,9 +24,12 @@ package stream
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"graphct/internal/cluster"
 	"graphct/internal/graph"
+	"graphct/internal/par"
 )
 
 // Update is one streamed interaction. The zero Del inserts the edge; Del
@@ -49,8 +53,8 @@ const triScale = 6
 // concurrency unit, as in the streaming paper.
 type Stream struct {
 	n        int
-	adj      []map[int32]struct{}
-	tri6     []int64 // triScale x triangles incident on each vertex
+	adj      [][]int32 // adj[v]: v's neighbors, ascending, no repeats, never v
+	tri6     []int64   // triScale x triangles incident on each vertex
 	edges    int64
 	lastTime int64
 
@@ -66,41 +70,40 @@ type Stream struct {
 
 // New creates a stream over n vertices and no edges.
 func New(n int) *Stream {
-	s := &Stream{
-		n:     n,
-		adj:   make([]map[int32]struct{}, n),
-		tri6:  make([]int64, n),
-		dirty: make([]bool, n),
-	}
-	for i := range s.adj {
-		s.adj[i] = make(map[int32]struct{})
-	}
-	return s
+	return &Stream{n: n, adj: make([][]int32, n), tri6: make([]int64, n), dirty: make([]bool, n)}
 }
 
 // FromGraph builds a stream preloaded with the undirected simple
 // projection of g (self loops dropped, directions and duplicates
 // collapsed), so an existing static graph can start accepting live
-// updates. Triangle counts are seeded by the static kernel, which is
-// defined on the same simple projection.
+// updates. Each row is copied out of g's sorted CSR row, skipping loops
+// and repeats, into one shared array in which row v may grow in place up
+// to v's degree in g. Triangle counts are seeded by the static kernel,
+// which is defined on the same simple projection.
 func FromGraph(g *graph.Graph) *Stream {
 	if g.Directed() {
 		g = g.Undirected()
 	}
 	s := New(g.NumVertices())
-	var buf []int32
-	for v := 0; v < s.n; v++ {
-		prev := int32(v) // rows are sorted: skips w <= v, then repeats of w
-		for _, w := range g.NeighborsInto(&buf, int32(v)) {
-			if w <= prev {
-				continue
+	rowPtr := g.RowPtr()
+	arcs := make([]int32, g.NumArcs())
+	par.For(s.n, func(v int) {
+		row := arcs[rowPtr[v]:rowPtr[v]:rowPtr[v+1]]
+		for it := g.NeighborIter(int32(v)); ; {
+			w, ok := it.Next()
+			if !ok {
+				break
 			}
-			prev = w
-			s.adj[v][w] = struct{}{}
-			s.adj[w][int32(v)] = struct{}{}
-			s.edges++
+			if w != int32(v) && (len(row) == 0 || w != row[len(row)-1]) {
+				row = append(row, w)
+			}
 		}
+		s.adj[v] = row
+	})
+	for _, row := range s.adj {
+		s.edges += int64(len(row))
 	}
+	s.edges /= 2
 	for v, t := range cluster.Triangles(g) {
 		s.tri6[v] = triScale * t
 	}
@@ -118,7 +121,7 @@ func (s *Stream) Degree(v int32) int { return len(s.adj[v]) }
 
 // HasEdge reports whether the undirected edge {u,v} is present.
 func (s *Stream) HasEdge(u, v int32) bool {
-	_, ok := s.adj[u][v]
+	_, ok := slices.BinarySearch(s.adj[u], v)
 	return ok
 }
 
@@ -136,57 +139,11 @@ func (s *Stream) Touch(t int64) { s.touch(t) }
 // edge was new. Triangle counts of u, v and each common neighbor are
 // updated incrementally: inserting {u,v} creates one triangle per common
 // neighbor.
-func (s *Stream) Insert(up Update) (bool, error) {
-	u, v := up.U, up.V
-	if err := s.check(u, v); err != nil {
-		return false, err
-	}
-	if u == v || s.HasEdge(u, v) {
-		s.touch(up.Time)
-		return false, nil
-	}
-	common := s.commonNeighbors(u, v)
-	for _, w := range common {
-		s.tri6[w] += triScale
-	}
-	s.tri6[u] += triScale * int64(len(common))
-	s.tri6[v] += triScale * int64(len(common))
-	s.adj[u][v] = struct{}{}
-	s.adj[v][u] = struct{}{}
-	s.edges++
-	s.sinceSnap++
-	s.markDirty(u)
-	s.markDirty(v)
-	s.touch(up.Time)
-	return true, nil
-}
+func (s *Stream) Insert(up Update) (bool, error) { return s.update(up, +1) }
 
 // Delete removes the undirected edge {u,v}, reversing the triangle
 // bookkeeping. It returns true when the edge existed.
-func (s *Stream) Delete(up Update) (bool, error) {
-	u, v := up.U, up.V
-	if err := s.check(u, v); err != nil {
-		return false, err
-	}
-	if u == v || !s.HasEdge(u, v) {
-		s.touch(up.Time)
-		return false, nil
-	}
-	delete(s.adj[u], v)
-	delete(s.adj[v], u)
-	s.edges--
-	s.sinceSnap++
-	s.markDirty(u)
-	s.markDirty(v)
-	common := s.commonNeighbors(u, v)
-	for _, w := range common {
-		s.tri6[w] -= triScale
-	}
-	s.tri6[u] -= triScale * int64(len(common))
-	s.tri6[v] -= triScale * int64(len(common))
-	s.touch(up.Time)
-	return true, nil
-}
+func (s *Stream) Delete(up Update) (bool, error) { return s.update(up, -1) }
 
 // Apply routes one update by its Del flag.
 func (s *Stream) Apply(up Update) (bool, error) {
@@ -194,6 +151,43 @@ func (s *Stream) Apply(up Update) (bool, error) {
 		return s.Delete(up)
 	}
 	return s.Insert(up)
+}
+
+// update applies one insertion (sign +1) or deletion (sign -1). Self
+// loops, present inserts and absent deletes only advance the clock;
+// otherwise both rows change and every common neighbor w gains or loses
+// the triangle {u,v,w}.
+func (s *Stream) update(up Update, sign int64) (bool, error) {
+	u, v := up.U, up.V
+	if err := s.check(u, v); err != nil {
+		return false, err
+	}
+	s.touch(up.Time)
+	if u == v {
+		return false, nil
+	}
+	edit := insertSorted
+	if sign < 0 {
+		edit = removeSorted
+	}
+	row, ok := edit(s.adj[u], v)
+	if !ok {
+		return false, nil
+	}
+	s.adj[u] = row
+	s.adj[v], _ = edit(s.adj[v], u)
+	var common int64
+	forCommon(s.adj[u], s.adj[v], func(w int32) {
+		s.tri6[w] += sign * triScale
+		common++
+	})
+	s.tri6[u] += sign * triScale * common
+	s.tri6[v] += sign * triScale * common
+	s.edges += sign
+	s.sinceSnap++
+	s.markDirty(u)
+	s.markDirty(v)
+	return true, nil
 }
 
 // InsertBatch applies a batch of insertions one at a time, returning how
@@ -260,20 +254,55 @@ func (s *Stream) SnapshotDue(threshold int64) bool {
 	return s.sinceSnap >= threshold
 }
 
-// commonNeighbors returns vertices adjacent to both u and v, iterating
-// the smaller adjacency set.
-func (s *Stream) commonNeighbors(u, v int32) []int32 {
-	a, b := u, v
-	if len(s.adj[a]) > len(s.adj[b]) {
+// insertSorted adds w to an ascending row, reporting whether it was absent.
+func insertSorted(row []int32, w int32) ([]int32, bool) {
+	i, found := slices.BinarySearch(row, w)
+	if found {
+		return row, false
+	}
+	return slices.Insert(row, i, w), true
+}
+
+// removeSorted drops w from an ascending row, reporting whether it was
+// present.
+func removeSorted(row []int32, w int32) ([]int32, bool) {
+	i, found := slices.BinarySearch(row, w)
+	if !found {
+		return row, false
+	}
+	return slices.Delete(row, i, i+1), true
+}
+
+// forCommon calls f for every vertex in both ascending rows a and b: by
+// merging them, or — when the shorter row is under a log factor of the
+// longer, as for a hub and a leaf — by binary searches of the longer row,
+// each starting where the last one ended.
+func forCommon(a, b []int32, f func(w int32)) {
+	if len(a) > len(b) {
 		a, b = b, a
 	}
-	var out []int32
-	for w := range s.adj[a] {
-		if _, ok := s.adj[b][w]; ok {
-			out = append(out, w)
+	if len(a)*bits.Len(uint(len(b))) < len(b) {
+		for _, w := range a {
+			i, ok := slices.BinarySearch(b, w)
+			if ok {
+				f(w)
+			}
+			b = b[i:]
+		}
+		return
+	}
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			f(a[i])
+			i++
+			j++
 		}
 	}
-	return out
 }
 
 // Triangles returns the current per-vertex triangle counts (aliased copy).
@@ -314,27 +343,21 @@ func (s *Stream) GlobalCoefficient() float64 {
 // immutable and safe for concurrent reads while the stream keeps mutating.
 //
 // After the first call, materialization is incremental: vertices untouched
-// since the previous snapshot copy their adjacency run from it, and only
-// dirty vertices are re-collected and re-sorted from the dynamic sets.
+// since the previous snapshot copy their adjacency run from it, and dirty
+// vertices copy their current row, which is already in CSR order.
 func (s *Stream) Snapshot() *graph.Graph {
 	deg := make([]int64, s.n)
-	for v := range s.adj {
-		deg[v] = int64(len(s.adj[v]))
+	for v, row := range s.adj {
+		deg[v] = int64(len(row))
 	}
 	dirty := s.dirty
 	if s.prev == nil {
 		dirty = nil // first materialization builds every vertex
 	}
-	g, err := graph.IncrementalCSR(s.prev, s.n, deg, dirty, func(v int32, dst []int32) {
-		i := 0
-		for w := range s.adj[v] {
-			dst[i] = w
-			i++
-		}
-	})
+	g, err := graph.IncrementalCSR(s.prev, s.n, deg, dirty, func(v int32, dst []int32) { copy(dst, s.adj[v]) })
 	if err != nil {
 		// The stream maintains the builder's invariants (degrees match the
-		// sets, clean vertices untouched); a failure is a bookkeeping bug.
+		// rows, clean vertices untouched); a failure is a bookkeeping bug.
 		panic("stream: snapshot: " + err.Error())
 	}
 	for _, v := range s.dirtyList {
