@@ -5,21 +5,15 @@
 // GOMAXPROCS. Re-running it on the same hardware reproduces the numbers
 // a PR quotes; each perf PR appends its own BENCH_PRn.json and compares.
 //
-// The configuration matrix is the memory-layout ablation, the shipped
+// The configuration matrix is the vertex-order ablation, the shipped
 // default last:
 //
-//	baseline           generator vertex order, raw CSR
-//	reorder+compact    relabeled for locality (-reorder) + delta-varint
-//	                   compressed adjacency (forced)
-//	reorder (default)  what -reorder degree -compact auto serves: the auto
-//	                   policy only compacts when the raw adjacency exceeds
-//	                   the memory budget, so at bench scales the default
-//	                   stack is relabeled raw CSR
+//	baseline           generator vertex order
+//	reorder (default)  degree-descending relabeling, what graphctd
+//	                   -reorder degree serves
 //
-// The forced-compact row quantifies the capacity trade (adjacency bytes
-// roughly halve; throughput pays the per-edge varint decode), and the
-// aggregate speedup the report headlines is the shipped default against
-// the baseline. The ablation varies memory layout only. edges/sec counts
+// Both rows run over raw sorted CSR; the aggregate speedup the report
+// headlines is the shipped default against the baseline. edges/sec counts
 // NumArcs() once per source per iteration — the same convention as
 // BenchmarkCentrality in bench_test.go, so the two report comparable
 // throughput.
@@ -79,15 +73,20 @@ type report struct {
 	Samples          int      `json:"samples"`
 	Seed             int64    `json:"seed"`
 	Reps             int      `json:"reps"`
-	Reorder          string   `json:"reorder"`
-	RawAdjBytes      int64    `json:"raw_adj_bytes"`
-	CompactAdjBytes  int64    `json:"compact_adj_bytes"`
-	CompressionRatio float64  `json:"compression_ratio"`
 	AggregateSpeedup float64  `json:"aggregate_speedup"`
 	Results          []result `json:"results"`
 	// Approx holds the adaptive approximate-BC ablation's guarantee
 	// metadata and speedup (-approx mode only).
 	Approx *approxInfo `json:"approx,omitempty"`
+
+	// Retained only so committed reports (BENCH_PR7.json, BENCH_PR10.json)
+	// still parse under checkReport's DisallowUnknownFields: they predate
+	// the single raw adjacency layout and the fixed degree reordering.
+	// New reports leave them out.
+	Reorder          string  `json:"reorder,omitempty"`
+	RawAdjBytes      int64   `json:"raw_adj_bytes,omitempty"`
+	CompactAdjBytes  int64   `json:"compact_adj_bytes,omitempty"`
+	CompressionRatio float64 `json:"compression_ratio,omitempty"`
 }
 
 // approxInfo records the adaptive run's (ε,δ) contract and the measured
@@ -110,7 +109,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generator and sampling seed")
 		procs   = flag.Int("procs", 4, "GOMAXPROCS for the runs (acceptance floor is 4)")
 		k       = flag.Int("k", 1, "k for the k-betweenness rows (0 skips them)")
-		reorder = flag.String("reorder", "degree", "permutation for the reordered rows: degree or bfs")
 		guard   = flag.String("guard", "", "CI mode: run only the full configuration and fail if BC edges/s drops below 80% of this committed report")
 		out     = flag.String("out", "BENCH_PR7.json", "output path; - for stdout")
 		only    = flag.String("only", "", "run a single ablation layout (for profiling); skips the JSON report")
@@ -141,51 +139,37 @@ func main() {
 		benchReps = *reps
 	}
 
-	kind, err := graph.ParseReorder(*reorder)
-	if err != nil || kind == graph.ReorderNone {
-		fmt.Fprintf(os.Stderr, "bench: -reorder must be degree or bfs\n")
-		os.Exit(2)
-	}
-
 	fmt.Fprintf(os.Stderr, "generating R-MAT scale %d (seed %d)...\n", *scale, *seed)
 	raw := gen.RMAT(gen.PaperRMAT(*scale, *seed))
 	arcs := raw.NumArcs()
 
-	reordered, _, err := graph.Layout{Reorder: kind, Compact: graph.CompactOff}.Apply(raw)
+	reordered, _, err := graph.Layout{Reorder: graph.ReorderDegree}.Apply(raw)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
 
 	rep := report{
-		Generator:   fmt.Sprintf("cmd/bench -scale %d -samples %d -seed %d -reorder %s", *scale, *samples, *seed, kind),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      numCPU,
-		GoVersion:   runtime.Version(),
-		RMATScale:   *scale,
-		Vertices:    raw.NumVertices(),
-		Arcs:        arcs,
-		Samples:     *samples,
-		Seed:        *seed,
-		Reps:        benchReps,
-		Reorder:     kind.String(),
-		RawAdjBytes: raw.AdjBytes(),
+		Generator:  fmt.Sprintf("cmd/bench -scale %d -samples %d -seed %d", *scale, *samples, *seed),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     numCPU,
+		GoVersion:  runtime.Version(),
+		RMATScale:  *scale,
+		Vertices:   raw.NumVertices(),
+		Arcs:       arcs,
+		Samples:    *samples,
+		Seed:       *seed,
+		Reps:       benchReps,
 	}
 
 	if *approx || *approxGuard != "" {
-		// The approx ablation compares the shipped default layout only;
-		// compression fields stay zero (no compaction at scale 18+ for
-		// columns the comparison doesn't use).
-		rep.Generator = fmt.Sprintf("cmd/bench -approx -scale %d -eps %g -delta %g -seed %d -reorder %s",
-			*scale, *eps, *delta, *seed, kind)
+		// The approx ablation compares on the shipped default layout only.
+		rep.Generator = fmt.Sprintf("cmd/bench -approx -scale %d -eps %g -delta %g -seed %d",
+			*scale, *eps, *delta, *seed)
 		rep.Samples = 0 // the exact row sweeps every source
 		runApprox(&rep, reordered, arcs, *eps, *delta, *seed, *out, *approxGuard)
 		return
 	}
-
-	compact := reordered.Compact()
-	rep.CompactAdjBytes = compact.AdjBytes()
-	rep.CompressionRatio = float64(raw.AdjBytes()) / float64(compact.AdjBytes())
 
 	if *profile != "" {
 		f, err := os.Create(*profile)
@@ -206,14 +190,6 @@ func main() {
 		g      *graph.Graph
 	}{
 		{"baseline", raw},
-		// Forced compression quantifies the capacity trade: adjacency bytes
-		// roughly halve, throughput pays the per-edge decode. The auto
-		// policy takes this trade only when the raw adjacency exceeds the
-		// memory budget, which is why the shipped default below stays raw
-		// at bench scales.
-		{"reorder+compact", compact},
-		// What -reorder degree -compact auto actually serves at this
-		// working-set size: relabeled raw CSR.
 		{defaultLayout, reordered},
 	}
 	if *guard != "" {
@@ -286,7 +262,7 @@ func main() {
 // printTable renders the ablation as a human-readable stdout table; the
 // JSON report stays the machine-readable artifact.
 func printTable(w *os.File, rep *report) {
-	fmt.Fprintf(w, "\nmemory-layout ablation: R-MAT scale %d, %d arcs, %d samples, GOMAXPROCS=%d\n\n",
+	fmt.Fprintf(w, "\nvertex-order ablation: R-MAT scale %d, %d arcs, %d samples, GOMAXPROCS=%d\n\n",
 		rep.RMATScale, rep.Arcs, rep.Samples, rep.GoMaxProcs)
 	fmt.Fprintf(w, "%-22s %-22s %14s %14s %12s %8s\n", "kernel", "layout", "ns/op", "edges/s", "adj bytes", "speedup")
 	base := make(map[string]float64)
@@ -309,8 +285,6 @@ func printTable(w *os.File, rep *report) {
 			a.SpeedupVsExact, float64(a.ExactNs)*1e-9, float64(a.ApproxNs)*1e-9)
 		return
 	}
-	fmt.Fprintf(w, "\nadjacency compression: %d -> %d bytes (%.2fx)\n",
-		rep.RawAdjBytes, rep.CompactAdjBytes, rep.CompressionRatio)
 	if rep.AggregateSpeedup > 0 {
 		fmt.Fprintf(w, "aggregate BC speedup (default vs baseline): %.2fx\n", rep.AggregateSpeedup)
 	}
@@ -374,7 +348,7 @@ func run(kernel, layout string, g *graph.Graph, arcs, sources int64, fn func()) 
 	fmt.Fprintf(os.Stderr, "%12d ns/op %14.0f edges/s\n", ns, eps)
 	return result{
 		Kernel: kernel, Layout: layout, NsPerOp: ns, EdgesPerSec: eps,
-		Iterations: iters, AdjBytes: g.AdjBytes(), MemoryFootprint: g.MemoryFootprint(),
+		Iterations: iters, AdjBytes: 4 * g.NumArcs(), MemoryFootprint: g.MemoryFootprint(),
 	}
 }
 
@@ -412,7 +386,7 @@ func runApprox(rep *report, g *graph.Graph, arcs int64, eps, delta float64, seed
 	rep.Results = append(rep.Results, result{
 		Kernel: "centrality/exact", Layout: layout, NsPerOp: exactNs,
 		EdgesPerSec: exactEPS, Iterations: 1,
-		AdjBytes: g.AdjBytes(), MemoryFootprint: g.MemoryFootprint(),
+		AdjBytes: 4 * g.NumArcs(), MemoryFootprint: g.MemoryFootprint(),
 	})
 
 	approxKernel := fmt.Sprintf("centrality/approx(eps=%g,delta=%g)", eps, delta)
@@ -434,7 +408,7 @@ func runApprox(rep *report, g *graph.Graph, arcs int64, eps, delta float64, seed
 	rep.Results = append(rep.Results, result{
 		Kernel: approxKernel, Layout: layout, NsPerOp: approxNs,
 		EdgesPerSec: approxEPS, Iterations: benchReps,
-		AdjBytes: g.AdjBytes(), MemoryFootprint: g.MemoryFootprint(),
+		AdjBytes: 4 * g.NumArcs(), MemoryFootprint: g.MemoryFootprint(),
 	})
 
 	speedup := float64(exactNs) / float64(approxNs)

@@ -141,8 +141,7 @@ func main() {
 	debug := flag.Bool("debug", false, "expose the POST /debug/failpoints fault-injection endpoint")
 	dataDir := flag.String("data-dir", "", "durability root: live graphs persist snapshots and a write-ahead batch log here and warm-restart on boot (empty = in-memory only)")
 	retainEpochs := flag.Int("retain-epochs", 3, "durable snapshot epochs kept per live graph (also serve ?epoch=E point-in-time reads)")
-	reorder := flag.String("reorder", "none", "relabel loaded graphs for cache locality: degree, bfs or none (vertex ids in the API stay the file's; live graphs are never relabeled)")
-	compact := flag.String("compact", "auto", "delta-varint compress loaded adjacency: auto (budget heuristic), on or off (live and weighted graphs stay raw)")
+	reorder := flag.String("reorder", "none", "relabel loaded graphs degree-descending for cache locality: degree or none (vertex ids in the API stay the file's; live graphs are never relabeled)")
 	var graphs graphFlags
 	flag.Var(&graphs, "graph", "preload NAME=FORMAT:PATH (formats: dimacs, edgelist, binary) or NAME=live:VERTICES (repeatable)")
 	flag.Parse()
@@ -151,9 +150,6 @@ func main() {
 	var err error
 	if layout.Reorder, err = graph.ParseReorder(*reorder); err != nil {
 		log.Fatalf("graphctd: -reorder: %v", err)
-	}
-	if layout.Compact, err = graph.ParseCompactPolicy(*compact); err != nil {
-		log.Fatalf("graphctd: -compact: %v", err)
 	}
 
 	// GRAPHCT_FAILPOINTS arms fault injection before any request is

@@ -206,13 +206,9 @@ func newAdaptiveEstimator(g *graph.Graph, opt ApproxOptions, eps, delta float64)
 		workers = par.Workers()
 	}
 	est.counts = make([]int64, n)
-	nbufCap := 0
-	if g.Compacted() {
-		nbufCap = g.MaxDegree()
-	}
 	est.ws = make([]*pairWorkspace, workers)
 	for i := range est.ws {
-		est.ws[i] = newPairWorkspace(n, nbufCap)
+		est.ws[i] = newPairWorkspace(n)
 	}
 	est.errs = make([]error, workers)
 	return est
@@ -452,14 +448,10 @@ type pairWorkspace struct {
 	f, b   searchSide
 	meets  []int32 // vertices labeled by both sides, in second-label order
 	counts []int64 // worker-local interior-hit counts
-	nbuf   []int32 // neighbor decode buffer for compact graphs
 }
 
-func newPairWorkspace(n, nbufCap int) *pairWorkspace {
-	ws := &pairWorkspace{
-		counts: make([]int64, n),
-		nbuf:   make([]int32, 0, nbufCap),
-	}
+func newPairWorkspace(n int) *pairWorkspace {
+	ws := &pairWorkspace{counts: make([]int64, n)}
 	for _, sd := range []*searchSide{&ws.f, &ws.b} {
 		sd.dist = make([]int32, n)
 		for i := range sd.dist {
@@ -486,7 +478,7 @@ func (ws *pairWorkspace) expandLevel(g *graph.Graph, x, y *searchSide, minSum in
 	next := x.level + 1
 	for _, u := range frontier {
 		su := x.sigma[u]
-		for _, v := range g.NeighborsInto(&ws.nbuf, u) {
+		for _, v := range g.Neighbors(u) {
 			switch x.dist[v] {
 			case -1:
 				x.dist[v] = next
@@ -576,7 +568,7 @@ func (ws *pairWorkspace) backtrack(g *graph.Graph, sd *searchSide, m, level int3
 	for j := level; j > 1; j-- {
 		x := rng.float64() * sd.sigma[cur]
 		pick := int32(-1)
-		for _, u := range g.NeighborsInto(&ws.nbuf, cur) {
+		for _, u := range g.Neighbors(cur) {
 			if sd.dist[u] == j-1 {
 				pick = u
 				x -= sd.sigma[u]

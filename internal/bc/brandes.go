@@ -23,19 +23,12 @@ type workspace struct {
 	sigTot     []float64 // per-vertex total short-path count (k > 0 only)
 	order      []int32   // visitation order of the last search
 	levelStart []int     // offsets into order where each BFS level begins
-	nbuf       []int32   // neighbor decode buffer for compact graphs
 	bottomUps  int       // levels discovered pull-style; survives reset (test sentinel)
 }
 
-// newWorkspace sizes a workspace for g. Compact graphs decode neighbor
-// rows into a buffer sized to the maximum degree, so the hot sweeps never
-// allocate; raw graphs alias CSR storage and need no buffer.
+// newWorkspace sizes a workspace for g.
 func newWorkspace(g *graph.Graph, k int) *workspace {
 	n := g.NumVertices()
-	nbufCap := 0
-	if g.Compacted() {
-		nbufCap = g.MaxDegree()
-	}
 	ws := &workspace{
 		n: n, k: k,
 		dist:   make([]int32, n),
@@ -43,7 +36,6 @@ func newWorkspace(g *graph.Graph, k int) *workspace {
 		delta:  make([]float64, n*(k+1)),
 		sigTot: make([]float64, n),
 		order:  make([]int32, 0, n),
-		nbuf:   make([]int32, 0, nbufCap),
 	}
 	for i := range ws.dist {
 		ws.dist[i] = -1
@@ -122,15 +114,13 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 }
 
 // topDownLevel expands the frontier push-style: the classic Brandes step,
-// O(frontier out-edges). NeighborsInto keeps the raw path an aliased CSR
-// subslice and decodes compact rows into the workspace buffer, so the loop
-// body is identical either way and allocation-free after warmup.
+// O(frontier out-edges).
 func (ws *workspace) topDownLevel(g *graph.Graph, frontier []int32) {
 	dist, sigma := ws.dist, ws.sigma
 	for _, u := range frontier {
 		du := dist[u]
 		su := sigma[u]
-		for _, v := range g.NeighborsInto(&ws.nbuf, u) {
+		for _, v := range g.Neighbors(u) {
 			if dist[v] == -1 {
 				dist[v] = du + 1
 				ws.order = append(ws.order, v)
@@ -169,7 +159,7 @@ func (ws *workspace) bottomUpLevel(g *graph.Graph, frontier []int32) {
 			continue
 		}
 		var sv float64
-		for _, u := range g.NeighborsInto(&ws.nbuf, v) {
+		for _, u := range g.Neighbors(v) {
 			sv += fsig[u]
 		}
 		if sv != 0 {
@@ -211,7 +201,7 @@ func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 		lvl := ws.order[lo:hi]
 		for _, v := range lvl {
 			var dsum float64
-			for _, w := range g.NeighborsInto(&ws.nbuf, v) {
+			for _, w := range g.Neighbors(v) {
 				dsum += coef[w]
 			}
 			dsum *= sigma[v]

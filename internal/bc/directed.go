@@ -39,7 +39,7 @@ func directedSource(g, rev *graph.Graph, s int32, ws *workspace, sink scoreSink)
 		w := ws.order[i]
 		coef := (1 + delta[w]) / sigma[w]
 		dw := dist[w]
-		for _, v := range rev.NeighborsInto(&ws.nbuf, w) {
+		for _, v := range rev.Neighbors(w) {
 			if dist[v] == dw-1 {
 				delta[v] += sigma[v] * coef
 			}

@@ -36,7 +36,7 @@ func kbcSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 		frontierEnd := len(ws.order)
 		for _, u := range frontier {
 			du := dist[u]
-			for _, v := range g.NeighborsInto(&ws.nbuf, u) {
+			for _, v := range g.Neighbors(u) {
 				if dist[v] == -1 {
 					dist[v] = du + 1
 					ws.order = append(ws.order, v)
@@ -86,13 +86,7 @@ func kbcSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 						continue
 					}
 					var sv float64
-					// Iterator, not a shared decode buffer: the guided
-					// chunks of one level run concurrently.
-					for it := g.NeighborIter(v); ; {
-						u, ok := it.Next()
-						if !ok {
-							break
-						}
+					for _, u := range g.Neighbors(v) {
 						du := dist[u]
 						if du == -1 {
 							continue
@@ -137,11 +131,7 @@ func kbcSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 					if v != s {
 						dv = 1 / sigTot[v]
 					}
-					for it := g.NeighborIter(v); ; {
-						w, ok := it.Next()
-						if !ok {
-							break
-						}
+					for _, w := range g.Neighbors(v) {
 						if w == s {
 							continue
 						}
@@ -179,7 +169,7 @@ func kbcSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 		credit -= 1
 		if k >= 2 {
 			bt := 0
-			for _, w := range g.NeighborsInto(&ws.nbuf, v) {
+			for _, w := range g.Neighbors(v) {
 				if w != s && w != v && dist[w] != -1 {
 					bt++
 				}

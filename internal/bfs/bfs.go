@@ -135,7 +135,6 @@ type workspace struct {
 	front    []uint64  // the frontier as a bitmap, for bottom-up levels
 	next     []uint64  // the level a bottom-up step is discovering
 	claimed  [][]int32 // per-worker output of a parallel top-down level
-	rows     [][]int32 // per-worker decode buffers for compact rows
 	examined int64     // arcs the last search read
 }
 
@@ -159,9 +158,8 @@ func (ws *workspace) summarize(g *graph.Graph, src int32, maxDepth, workers int)
 // the concrete CSR, the visited bitmap vertices are claimed in, and the
 // arrays the caller wants filled.
 type sweep struct {
-	g       *graph.Graph
 	rowPtr  []int64
-	adj     []int32 // raw adjacency, aliased; nil when g is compact
+	adj     []int32
 	visited []uint64
 	level   []int32 // nil when the caller wants no levels
 	parent  []int32 // nil when the caller wants no tree
@@ -177,8 +175,7 @@ func (ws *workspace) search(g *graph.Graph, src int32, maxDepth int, level, pare
 	if src < 0 || int(src) >= n {
 		return queue, 0
 	}
-	for len(ws.rows) < workers {
-		ws.rows = append(ws.rows, nil)
+	for len(ws.claimed) < workers {
 		ws.claimed = append(ws.claimed, nil)
 	}
 	words := (n + 63) >> 6
@@ -190,10 +187,7 @@ func (ws *workspace) search(g *graph.Graph, src int32, maxDepth int, level, pare
 	if n&63 != 0 {
 		ws.visited[words-1] = ^uint64(0) << (uint(n) & 63) // no vertices behind these bits
 	}
-	s := sweep{g: g, rowPtr: g.RowPtr(), visited: ws.visited, level: level, parent: parent}
-	if !g.Compacted() {
-		s.adj = g.AdjArray()
-	}
+	s := sweep{rowPtr: g.RowPtr(), adj: g.AdjArray(), visited: ws.visited, level: level, parent: parent}
 	ws.visited[src>>6] |= 1 << (uint(src) & 63)
 	if level != nil {
 		level[src] = 0
@@ -246,20 +240,20 @@ func (ws *workspace) search(g *graph.Graph, src int32, maxDepth int, level, pare
 func (ws *workspace) topDownLevel(s sweep, frontier []int32, d int32, queue []int32, arcs int64, workers int) []int32 {
 	ws.examined += arcs
 	if workers == 1 || arcs < inlineArcs {
-		return s.topDown(frontier, d, queue, false, &ws.rows[0])
+		return s.topDown(frontier, d, queue, false)
 	}
 	const chunk = 64
 	var cursor atomic.Int64
 	par.ForWorkers(workers, func(w, _ int) {
-		out, row := ws.claimed[w][:0], ws.rows[w]
+		out := ws.claimed[w][:0]
 		for {
 			lo := int(cursor.Add(chunk)) - chunk
 			if lo >= len(frontier) {
 				break
 			}
-			out = s.topDown(frontier[lo:min(lo+chunk, len(frontier))], d, out, true, &row)
+			out = s.topDown(frontier[lo:min(lo+chunk, len(frontier))], d, out, true)
 		}
-		ws.claimed[w], ws.rows[w] = out, row
+		ws.claimed[w] = out
 	})
 	for _, out := range ws.claimed[:workers] {
 		queue = append(queue, out...)
@@ -272,16 +266,10 @@ func (ws *workspace) topDownLevel(s sweep, frontier []int32, d int32, queue []in
 // appended to out. With shared set other goroutines run the same step on
 // other parts of the frontier, so the claim is a compare-and-swap on the
 // bitmap word; the winner alone writes the vertex's level and parent.
-func (s sweep) topDown(frontier []int32, d int32, out []int32, shared bool, rowBuf *[]int32) []int32 {
+func (s sweep) topDown(frontier []int32, d int32, out []int32, shared bool) []int32 {
 	visited, level, parent := s.visited, s.level, s.parent
 	for _, u := range frontier {
-		var row []int32
-		if s.adj != nil {
-			row = s.adj[s.rowPtr[u]:s.rowPtr[u+1]]
-		} else {
-			row = s.g.NeighborsInto(rowBuf, u)
-		}
-		for _, v := range row {
+		for _, v := range s.adj[s.rowPtr[u]:s.rowPtr[u+1]] {
 			word, bit := &visited[v>>6], uint64(1)<<(uint(v)&63)
 			if !shared {
 				if *word&bit != 0 {
@@ -322,22 +310,20 @@ func claim(word *uint64, bit uint64) bool {
 func (ws *workspace) bottomUpLevel(s sweep, d int32, arcs int64, workers int) {
 	words := len(ws.next)
 	if workers == 1 || arcs < inlineArcs {
-		ws.examined += s.bottomUp(d, ws.front, ws.next, 0, words, &ws.rows[0])
+		ws.examined += s.bottomUp(d, ws.front, ws.next, 0, words)
 		return
 	}
 	const chunk = 64 // words: 4096 vertices
 	var cursor, examined atomic.Int64
 	par.ForWorkers(workers, func(w, _ int) {
 		var seen int64
-		row := ws.rows[w]
 		for {
 			lo := int(cursor.Add(chunk)) - chunk
 			if lo >= words {
 				break
 			}
-			seen += s.bottomUp(d, ws.front, ws.next, lo, min(lo+chunk, words), &row)
+			seen += s.bottomUp(d, ws.front, ws.next, lo, min(lo+chunk, words))
 		}
-		ws.rows[w] = row
 		examined.Add(seen)
 	})
 	ws.examined += examined.Load()
@@ -350,19 +336,14 @@ func (ws *workspace) bottomUpLevel(s sweep, d int32, arcs int64, workers int) {
 // words, and front is read-only for the duration of the level, so
 // goroutines working on disjoint word ranges need no atomics. It returns
 // the number of arcs read.
-func (s sweep) bottomUp(d int32, front, next []uint64, wlo, whi int, rowBuf *[]int32) (examined int64) {
+func (s sweep) bottomUp(d int32, front, next []uint64, wlo, whi int) (examined int64) {
 	level, parent := s.level, s.parent
 	for w := wlo; w < whi; w++ {
 		var found uint64
 		for todo := ^s.visited[w]; todo != 0; todo &= todo - 1 {
 			t := bits.TrailingZeros64(todo)
 			v := int32(w<<6 + t)
-			var row []int32
-			if s.adj != nil {
-				row = s.adj[s.rowPtr[v]:s.rowPtr[v+1]]
-			} else {
-				row = s.g.NeighborsInto(rowBuf, v)
-			}
+			row := s.adj[s.rowPtr[v]:s.rowPtr[v+1]]
 			seen := len(row)
 			for i, u := range row {
 				if front[u>>6]>>(uint(u)&63)&1 != 0 {

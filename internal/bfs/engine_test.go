@@ -63,7 +63,6 @@ func shapes(t testing.TB) []shape {
 		{name: "isolated-source", g: mustEdges(t, 6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, graph.Options{}), srcs: []int32{5}},
 		{name: "loops-and-multi-edges", g: mustEdges(t, 512, noisy, graph.Options{KeepSelfLoops: true, KeepDuplicates: true}), srcs: []int32{0, 63, 300}},
 		{name: "rmat", g: gen.RMAT(rmat), srcs: []int32{0, 4095}},
-		{name: "rmat-compact", g: gen.RMAT(rmat).Compact(), srcs: []int32{1}},
 		{name: "rmat-directed", g: mustEdges(t, 1<<14, gen.RMATEdges(rmat), graph.Options{Directed: true}), srcs: []int32{0}},
 	}
 }

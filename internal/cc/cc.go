@@ -32,14 +32,11 @@ func Components(g *graph.Graph) *Result {
 	par.For(n, func(v int) { colors[v] = int32(v) })
 	for {
 		var changed atomic.Bool
-		// Hooking: absorb higher labels into lower labeled neighbors. Each
-		// chunk owns a decode buffer so compact graphs hook without
-		// per-row allocation.
+		// Hooking: absorb higher labels into lower labeled neighbors.
 		par.ForChunked(n, 0, func(lo, hi int) {
-			var nbuf []int32
 			for v := lo; v < hi; v++ {
 				cv := atomic.LoadInt32(&colors[v])
-				for _, w := range work.NeighborsInto(&nbuf, int32(v)) {
+				for _, w := range work.Neighbors(int32(v)) {
 					cw := atomic.LoadInt32(&colors[w])
 					switch {
 					case cw < cv:

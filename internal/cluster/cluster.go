@@ -44,9 +44,9 @@ func orient(g *graph.Graph) (off []int64, out []int32, deg []int32) {
 	n := g.NumVertices()
 	// appendHigher appends v's oriented row to dst and returns it with v's
 	// simple degree. Rows are sorted, so repeated arcs are adjacent.
-	appendHigher := func(dst []int32, buf *[]int32, v int32) ([]int32, int32) {
+	appendHigher := func(dst []int32, v int32) ([]int32, int32) {
 		dv, prev, d := g.Degree(v), int32(-1), int32(0)
-		for _, w := range g.NeighborsInto(buf, v) {
+		for _, w := range g.Neighbors(v) {
 			if w == prev || w == v {
 				continue
 			}
@@ -61,9 +61,9 @@ func orient(g *graph.Graph) (off []int64, out []int32, deg []int32) {
 	deg = make([]int32, n)
 	off = make([]int64, n+1)
 	par.ForChunked(n, 256, func(lo, hi int) {
-		var buf, row []int32
+		var row []int32
 		for v := lo; v < hi; v++ {
-			row, deg[v] = appendHigher(row[:0], &buf, int32(v))
+			row, deg[v] = appendHigher(row[:0], int32(v))
 			off[v+1] = int64(len(row))
 		}
 	})
@@ -72,9 +72,8 @@ func orient(g *graph.Graph) (off []int64, out []int32, deg []int32) {
 	}
 	out = make([]int32, off[n])
 	par.ForChunked(n, 256, func(lo, hi int) {
-		var buf []int32
 		for v := lo; v < hi; v++ {
-			appendHigher(out[off[v]:off[v]:off[v+1]], &buf, int32(v))
+			appendHigher(out[off[v]:off[v]:off[v+1]], int32(v))
 		}
 	})
 	return off, out, deg

@@ -83,29 +83,29 @@ func shapes(t *testing.T) []shape {
 	}
 }
 
-// layout is one renaming of a shape's vertices (perm[old] = new), raw or
-// compact.
+// layout is one renaming of a shape's vertices (perm[old] = new).
 type layout struct {
 	name string
 	g    *graph.Graph
 	perm []int32
 }
 
-// layouts returns g as built and under the two shipped reorderings, each
-// raw and compact.
+// layouts returns g as built, under the shipped degree reordering and
+// under a seeded uniformly random permutation.
 func layouts(t *testing.T, g *graph.Graph) []layout {
 	t.Helper()
-	identity := make([]int32, g.NumVertices())
-	for v := range identity {
-		identity[v] = int32(v)
+	n := g.NumVertices()
+	identity, random := make([]int32, n), make([]int32, n)
+	for v, p := range rand.New(rand.NewSource(1)).Perm(n) {
+		identity[v], random[v] = int32(v), int32(p)
 	}
 	var out []layout
-	for name, perm := range map[string][]int32{"built": identity, "degree": graph.DegreePerm(g), "bfs": graph.BFSPerm(g)} {
-		r, _, err := g.Relabel(perm)
+	for _, l := range []layout{{"built", nil, identity}, {"degree", nil, graph.DegreePerm(g)}, {"random", nil, random}} {
+		r, _, err := g.Relabel(l.perm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, layout{name + "/raw", r, perm}, layout{name + "/compact", r.Compact(), perm})
+		out = append(out, layout{l.name, r, l.perm})
 	}
 	return out
 }
@@ -164,19 +164,17 @@ func TestForwardMatchesReferences(t *testing.T) {
 func TestMultigraphIsItsSimpleGraph(t *testing.T) {
 	g := build(t, 4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}, {U: 2, V: 2}},
 		graph.Options{KeepSelfLoops: true, KeepDuplicates: true})
-	for _, g := range []*graph.Graph{g, g.Compact()} {
-		tri, coef := cluster.Triangles(g), cluster.Coefficients(g)
-		wantTri, wantCoef := []int64{1, 1, 1, 0}, []float64{1, 1, 1.0 / 3, 0}
-		for v := range wantTri {
-			if tri[v] != wantTri[v] || coef[v] != wantCoef[v] {
-				t.Fatalf("tri %v coef %v, want %v %v", tri, coef, wantTri, wantCoef)
-			}
+	tri, coef := cluster.Triangles(g), cluster.Coefficients(g)
+	wantTri, wantCoef := []int64{1, 1, 1, 0}, []float64{1, 1, 1.0 / 3, 0}
+	for v := range wantTri {
+		if tri[v] != wantTri[v] || coef[v] != wantCoef[v] {
+			t.Fatalf("tri %v coef %v, want %v %v", tri, coef, wantTri, wantCoef)
 		}
-		if got := cluster.Global(g); got != 0.6 {
-			t.Fatalf("Global = %v, want 0.6", got)
-		}
-		if st := stream.FromGraph(g); st.NumEdges() != 4 || st.GlobalCoefficient() != 0.6 {
-			t.Fatalf("stream.FromGraph: %d edges, transitivity %v; want 4, 0.6", st.NumEdges(), st.GlobalCoefficient())
-		}
+	}
+	if got := cluster.Global(g); got != 0.6 {
+		t.Fatalf("Global = %v, want 0.6", got)
+	}
+	if st := stream.FromGraph(g); st.NumEdges() != 4 || st.GlobalCoefficient() != 0.6 {
+		t.Fatalf("stream.FromGraph: %d edges, transitivity %v; want 4, 0.6", st.NumEdges(), st.GlobalCoefficient())
 	}
 }

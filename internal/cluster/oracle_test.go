@@ -17,17 +17,14 @@ func oracleTriangles(g *graph.Graph) []int64 {
 	n := g.NumVertices()
 	tri := make([]int64, n)
 	par.ForChunked(n, 64, func(lo, hi int) {
-		// Two decode buffers per chunk: the intersection walks v's and w's
-		// rows simultaneously, so they cannot share one.
-		var vbuf, wbuf []int32
 		for v := lo; v < hi; v++ {
-			nv := g.NeighborsInto(&vbuf, int32(v))
+			nv := g.Neighbors(int32(v))
 			var count int64
 			for _, w := range nv {
 				if w == int32(v) {
 					continue
 				}
-				count += oracleIntersectCount(nv, g.NeighborsInto(&wbuf, w), int32(v), w)
+				count += oracleIntersectCount(nv, g.Neighbors(w), int32(v), w)
 			}
 			// Each triangle {v,a,b} is found twice from v (via a and b).
 			tri[v] = count / 2

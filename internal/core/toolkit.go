@@ -132,7 +132,7 @@ func (t *Toolkit) setGraph(g *graph.Graph, orig []int32) {
 }
 
 // Reorder relabels the current graph's vertices for cache locality
-// (graph.DegreePerm or graph.BFSPerm per kind; ReorderNone is a no-op).
+// (graph.DegreePerm for ReorderDegree; ReorderNone is a no-op).
 // The inverse permutation becomes the orig-id composition, so per-vertex
 // output (kcentrality rankings, extractions) keeps reporting ids of the
 // originally loaded graph — the relabeling is invisible outside kernel
@@ -141,7 +141,7 @@ func (t *Toolkit) Reorder(kind graph.ReorderKind) error {
 	if kind == graph.ReorderNone {
 		return nil
 	}
-	rg, inv, err := graph.Layout{Reorder: kind, Compact: graph.CompactOff}.Apply(t.g)
+	rg, inv, err := graph.Layout{Reorder: kind}.Apply(t.g)
 	if err != nil {
 		return err
 	}

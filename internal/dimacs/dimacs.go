@@ -298,10 +298,9 @@ func Write(w io.Writer, g *graph.Graph) error {
 	}
 	// Lines are assembled in one reused buffer: formatting each edge
 	// through fmt costs more than everything else the writer does.
-	var buf []int32
 	line := []byte{kind, ' '}
 	for v := 0; v < g.NumVertices(); v++ {
-		nbr := g.NeighborsInto(&buf, int32(v))
+		nbr := g.Neighbors(int32(v))
 		wts := g.Weights(int32(v))
 		for i, u := range nbr {
 			if !g.Directed() && u < int32(v) {

@@ -216,8 +216,7 @@ func TestWriteDirectedRoundTrip(t *testing.T) {
 
 // TestWritersMatchFormattedReference pins the text both writers emit to
 // the fmt.Fprintf lines they replaced, byte for byte: undirected, directed
-// and weighted graphs, raw and compact, ids wide enough to change digit
-// count.
+// and weighted graphs, ids wide enough to change digit count.
 func TestWritersMatchFormattedReference(t *testing.T) {
 	weighted, err := graph.FromWeightedEdges(1200, []graph.WeightedEdge{
 		{U: 0, V: 1199, W: -7}, {U: 9, V: 10, W: 0}, {U: 99, V: 100, W: 2147483647}, {U: 5, V: 5, W: 3},
@@ -228,7 +227,7 @@ func TestWritersMatchFormattedReference(t *testing.T) {
 	directed, _ := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 0}}, graph.Options{Directed: true})
 	er := gen.ErdosRenyi(1100, 3000, 5)
 	for name, g := range map[string]*graph.Graph{
-		"undirected": er, "compact": er.Compact(), "directed": directed, "weighted": weighted, "empty": graph.Empty(3, false),
+		"undirected": er, "directed": directed, "weighted": weighted, "empty": graph.Empty(3, false),
 	} {
 		var dim, el bytes.Buffer
 		tag, kind := "edge", 'e'
@@ -389,8 +388,7 @@ func TestPropertyTextRoundTrip(t *testing.T) {
 
 // binaryShapes are the graphs the binary format must carry byte for byte:
 // a hub, a long path, a clique, many components, isolated vertices, loops
-// and repeated arcs, directed arcs, weights, a compact graph, a graph
-// whose image spans several 1 MiB write chunks, and the empty graphs.
+// and repeated arcs, directed arcs, weights, a graph whose image spans several 1 MiB write chunks, and the empty graphs.
 func binaryShapes(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	build := func(n int, edges []graph.Edge, opt graph.Options) *graph.Graph {
@@ -415,19 +413,18 @@ func binaryShapes(t *testing.T) map[string]*graph.Graph {
 	}
 	rmat := gen.RMAT(gen.PaperRMAT(12, 5))
 	return map[string]*graph.Graph{
-		"hub-wheel":       build(2001, wheel, graph.Options{}),
-		"path":            gen.Path(10000),
-		"clique":          gen.Complete(120),
-		"components":      gen.Disjoint(gen.Ring(5), gen.Complete(4), gen.Path(3), gen.Ring(7)),
-		"isolated":        build(5000, []graph.Edge{{U: 3, V: 4900}, {U: 7, V: 4999}}, graph.Options{}),
-		"loops-multi":     build(200, multi, graph.Options{KeepSelfLoops: true, KeepDuplicates: true}),
-		"directed":        build(200, multi, graph.Options{Directed: true}),
-		"weighted":        weighted,
-		"rmat-12":         rmat,
-		"rmat-12-compact": rmat.Compact(),
-		"rmat-14":         gen.RMAT(gen.PaperRMAT(14, 5)),
-		"no-edges":        build(7, nil, graph.Options{}),
-		"no-vertices":     build(0, nil, graph.Options{}),
+		"hub-wheel":   build(2001, wheel, graph.Options{}),
+		"path":        gen.Path(10000),
+		"clique":      gen.Complete(120),
+		"components":  gen.Disjoint(gen.Ring(5), gen.Complete(4), gen.Path(3), gen.Ring(7)),
+		"isolated":    build(5000, []graph.Edge{{U: 3, V: 4900}, {U: 7, V: 4999}}, graph.Options{}),
+		"loops-multi": build(200, multi, graph.Options{KeepSelfLoops: true, KeepDuplicates: true}),
+		"directed":    build(200, multi, graph.Options{Directed: true}),
+		"weighted":    weighted,
+		"rmat-12":     rmat,
+		"rmat-14":     gen.RMAT(gen.PaperRMAT(14, 5)),
+		"no-edges":    build(7, nil, graph.Options{}),
+		"no-vertices": build(0, nil, graph.Options{}),
 	}
 }
 

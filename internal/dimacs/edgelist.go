@@ -124,10 +124,9 @@ func parseEdgeChunk(chunk []byte) ([]graph.Edge, int32, error) {
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# graphct edge list: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	var buf []int32
 	var line []byte // reused, as in Write
 	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.NeighborsInto(&buf, int32(v)) {
+		for _, u := range g.Neighbors(int32(v)) {
 			if !g.Directed() && u < int32(v) {
 				continue
 			}

@@ -260,7 +260,6 @@ func TestBuilderMatchesOracle(t *testing.T) {
 
 			checkTransforms(t, what, g)
 			checkTransforms(t, what+" weighted", wg)
-			checkTransforms(t, what+" compact", g.Compact())
 		}
 	}
 }
@@ -272,9 +271,8 @@ func checkTransforms(t *testing.T, what string, g *Graph) {
 	n := g.NumVertices()
 	weighted := g.Weighted()
 	slot := func(visit func(u, v, w int32)) {
-		var buf []int32
 		for u := 0; u < n; u++ {
-			for i, v := range g.NeighborsInto(&buf, int32(u)) {
+			for i, v := range g.Neighbors(int32(u)) {
 				var w int32
 				if weighted {
 					w = g.weights[g.rowPtr[u]+int64(i)]
@@ -339,9 +337,6 @@ func checkTransforms(t *testing.T, what string, g *Graph) {
 	}
 	sameCSR(t, what+" DropIsolated", d, od, !weighted)
 
-	if g.compact != nil {
-		return
-	}
 	perm := DegreePerm(g)
 	if !slices.Equal(perm, oracleDegreePerm(g)) {
 		t.Fatalf("%s: DegreePerm differs from the oracle", what)
@@ -511,7 +506,7 @@ func TestNumEdgesMemoized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			graphs = append(graphs, g, g.Compact())
+			graphs = append(graphs, g)
 		}
 	}
 	d := newDynAdj(300)

@@ -19,10 +19,9 @@ import (
 // sorted ascending, which kernels exploit (e.g. clustering-coefficient
 // intersection).
 type Graph struct {
-	rowPtr   []int64     // len = NumVertices()+1; rowPtr[v]..rowPtr[v+1] index Adj
-	adj      []int32     // concatenated sorted adjacency lists; nil when compact
-	weights  []int32     // optional, aligned with adj; nil when unweighted
-	compact  *compactAdj // delta-varint adjacency (see compact.go); nil when raw
+	rowPtr   []int64 // len = NumVertices()+1; rowPtr[v]..rowPtr[v+1] index Adj
+	adj      []int32 // concatenated sorted adjacency lists
+	weights  []int32 // optional, aligned with adj; nil when unweighted
 	directed bool
 
 	// undirectedOnce memoizes Undirected(): a directed graph is
@@ -65,22 +64,11 @@ func (g *Graph) NumEdges() int64 {
 }
 
 // selfLoops counts the v->v arcs in row v (more than one on a multigraph).
-func (g *Graph) selfLoops(v int32) (c int64) {
-	if g.compact == nil {
-		row := g.adj[g.rowPtr[v]:g.rowPtr[v+1]]
-		lo, _ := slices.BinarySearch(row, v)
-		hi, _ := slices.BinarySearch(row, v+1)
-		return int64(hi - lo)
-	}
-	for it := g.NeighborIter(v); ; {
-		w, ok := it.Next()
-		if !ok || w > v {
-			return c
-		}
-		if w == v {
-			c++
-		}
-	}
+func (g *Graph) selfLoops(v int32) int64 {
+	row := g.Neighbors(v)
+	lo, _ := slices.BinarySearch(row, v)
+	hi, _ := slices.BinarySearch(row, v+1)
+	return int64(hi - lo)
 }
 
 // Directed reports whether the graph stores directed arcs.
@@ -91,16 +79,10 @@ func (g *Graph) Degree(v int32) int {
 	return int(g.rowPtr[v+1] - g.rowPtr[v])
 }
 
-// Neighbors returns the adjacency slice of v. For a raw graph the slice
-// aliases the graph's storage and must not be modified. For a compact graph
-// (see Compact) it is decoded into a fresh allocation per call — correct
-// everywhere, but hot paths should use NeighborsInto or NeighborIter.
+// Neighbors returns the sorted adjacency slice of v. It aliases the
+// graph's storage and must not be modified.
 func (g *Graph) Neighbors(v int32) []int32 {
-	if g.compact == nil {
-		return g.adj[g.rowPtr[v]:g.rowPtr[v+1]]
-	}
-	deg := g.rowPtr[v+1] - g.rowPtr[v]
-	return g.appendRow(make([]int32, 0, deg), v)
+	return g.adj[g.rowPtr[v]:g.rowPtr[v+1]]
 }
 
 // Weights returns the edge-weight slice aligned with Neighbors(v), or nil if
@@ -115,24 +97,11 @@ func (g *Graph) Weights(v int32) []int32 {
 // Weighted reports whether per-edge weights are stored.
 func (g *Graph) Weighted() bool { return g.weights != nil }
 
-// HasEdge reports whether the arc u->v is present: binary search on the
-// sorted adjacency list of u for raw graphs, an early-exit sequential decode
-// for compact ones (the row is sorted, so the scan stops at the first
-// neighbor >= v).
+// HasEdge reports whether the arc u->v is present, by binary search on the
+// sorted adjacency list of u.
 func (g *Graph) HasEdge(u, v int32) bool {
-	if g.compact == nil {
-		_, found := slices.BinarySearch(g.adj[g.rowPtr[u]:g.rowPtr[u+1]], v)
-		return found
-	}
-	for it := g.NeighborIter(u); ; {
-		w, ok := it.Next()
-		if !ok || w > v {
-			return false
-		}
-		if w == v {
-			return true
-		}
-	}
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // RowPtr exposes the CSR offset array for serialization. Callers must treat
@@ -140,14 +109,8 @@ func (g *Graph) HasEdge(u, v int32) bool {
 func (g *Graph) RowPtr() []int64 { return g.rowPtr }
 
 // AdjArray exposes the CSR adjacency array for serialization. Callers must
-// treat it as read-only. For a compact graph the raw array is materialized
-// so on-disk formats stay plain CSR regardless of the in-memory layout.
-func (g *Graph) AdjArray() []int32 {
-	if g.compact != nil {
-		return g.decompressAdj()
-	}
-	return g.adj
-}
+// treat it as read-only.
+func (g *Graph) AdjArray() []int32 { return g.adj }
 
 // WeightArray exposes the CSR weight array (nil when unweighted) for
 // serialization. Callers must treat it as read-only.
@@ -180,39 +143,21 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: rowPtr not monotone at vertex %d", v)
 		}
 	}
-	if g.compact == nil {
-		if g.rowPtr[n] != int64(len(g.adj)) {
-			return fmt.Errorf("graph: rowPtr[n] = %d, want %d", g.rowPtr[n], len(g.adj))
-		}
-		if g.weights != nil && len(g.weights) != len(g.adj) {
-			return fmt.Errorf("graph: %d weights for %d arcs", len(g.weights), len(g.adj))
-		}
-	} else {
-		if len(g.compact.offs) != n+1 {
-			return fmt.Errorf("graph: compact offsets cover %d vertices, want %d", len(g.compact.offs)-1, n)
-		}
-		if g.compact.offs[n] != int64(len(g.compact.data)-compactPad) {
-			return fmt.Errorf("graph: compact offs[n] = %d, want %d", g.compact.offs[n], len(g.compact.data)-compactPad)
-		}
-		if g.weights != nil {
-			return fmt.Errorf("graph: compact graph with weights (weighted graphs stay raw)")
-		}
+	if g.rowPtr[n] != int64(len(g.adj)) {
+		return fmt.Errorf("graph: rowPtr[n] = %d, want %d", g.rowPtr[n], len(g.adj))
+	}
+	if g.weights != nil && len(g.weights) != len(g.adj) {
+		return fmt.Errorf("graph: %d weights for %d arcs", len(g.weights), len(g.adj))
 	}
 	for v := 0; v < n; v++ {
-		prev := int32(-1)
-		i := 0
-		for it := g.NeighborIter(int32(v)); ; i++ {
-			w, ok := it.Next()
-			if !ok {
-				break
-			}
+		row := g.Neighbors(int32(v))
+		for i, w := range row {
 			if w < 0 || int(w) >= n {
 				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, w)
 			}
-			if i > 0 && prev > w {
+			if i > 0 && row[i-1] > w {
 				return fmt.Errorf("graph: adjacency of vertex %d not sorted", v)
 			}
-			prev = w
 		}
 	}
 	if !g.directed {
@@ -246,20 +191,7 @@ func (g *Graph) MemoryFootprint() int64 {
 	bytes := int64(len(g.rowPtr)) * 8
 	bytes += int64(len(g.adj)) * 4
 	bytes += int64(len(g.weights)) * 4
-	if g.compact != nil {
-		bytes += int64(len(g.compact.offs))*8 + int64(len(g.compact.data))
-	}
 	return bytes
-}
-
-// AdjBytes returns the bytes spent on neighbor-id storage alone (the part
-// Compact shrinks): 4 per arc raw, the varint stream plus byte offsets when
-// compact. cmd/bench reports it so compression claims are auditable.
-func (g *Graph) AdjBytes() int64 {
-	if g.compact != nil {
-		return int64(len(g.compact.offs))*8 + int64(len(g.compact.data))
-	}
-	return int64(len(g.adj)) * 4
 }
 
 // String summarizes the graph for logs.

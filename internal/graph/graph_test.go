@@ -217,6 +217,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{"monotone", func(g *Graph) { g.rowPtr[1] = g.rowPtr[2] + 1 }},
 		{"tail", func(g *Graph) { g.rowPtr[len(g.rowPtr)-1]-- }},
 		{"origin", func(g *Graph) { g.rowPtr[0] = 1 }},
+		{"weights", func(g *Graph) { g.weights = make([]int32, len(g.adj)-1) }},
 	}
 	for _, tc := range cases {
 		g := mustUndirected(t, 4, testEdges())

@@ -219,11 +219,7 @@ func oracleNumEdges(g *Graph) int64 {
 	}
 	var loops int64
 	for v := 0; v < g.NumVertices(); v++ {
-		for it := g.NeighborIter(int32(v)); ; {
-			w, ok := it.Next()
-			if !ok {
-				break
-			}
+		for _, w := range g.Neighbors(int32(v)) {
 			if w == int32(v) {
 				loops++
 			}
@@ -240,18 +236,11 @@ func oracleUndirected(g *Graph) *Graph {
 	}
 	edges := make([]Edge, 0, g.NumArcs())
 	for v := 0; v < g.NumVertices(); v++ {
-		for it := g.NeighborIter(int32(v)); ; {
-			w, ok := it.Next()
-			if !ok {
-				break
-			}
+		for _, w := range g.Neighbors(int32(v)) {
 			edges = append(edges, Edge{int32(v), w})
 		}
 	}
 	u, _ := oracleFromEdges(g.NumVertices(), edges, Options{KeepSelfLoops: true})
-	if g.compact != nil {
-		u = u.Compact()
-	}
 	return u
 }
 
@@ -362,12 +351,8 @@ func oracleDegreePerm(g *Graph) []int32 {
 // under the new names and weights follow their arcs, so the result is a
 // valid CSR graph whose kernels compute the same function as g up to the
 // renaming — the permutation-equivalence property tests quantify this for
-// every kernel. The receiver must be raw (relabel before Compact;
-// Layout.Apply orders the two correctly).
+// every kernel.
 func oracleRelabel(g *Graph, perm []int32) (*Graph, []int32, error) {
-	if g.compact != nil {
-		return nil, nil, fmt.Errorf("graph: relabel of a compacted graph (relabel first, then Compact)")
-	}
 	n := g.NumVertices()
 	if err := checkPerm(perm, n); err != nil {
 		return nil, nil, err

@@ -34,7 +34,7 @@ func equivGraph(seed int64) *graph.Graph {
 
 func applyReorder(t *testing.T, g *graph.Graph, kind graph.ReorderKind) (*graph.Graph, []int32) {
 	t.Helper()
-	rg, inv, err := graph.Layout{Reorder: kind, Compact: graph.CompactOff}.Apply(g)
+	rg, inv, err := graph.Layout{Reorder: kind}.Apply(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,31 @@ func applyReorder(t *testing.T, g *graph.Graph, kind graph.ReorderKind) (*graph.
 	return rg, graph.InversePerm(inv) // perm[old] = new
 }
 
+// relabeling is one renamed copy of a graph: perm[old] = new.
+type relabeling struct {
+	name string
+	g    *graph.Graph
+	perm []int32
+}
+
+// relabelings returns the two non-identity relabelings the suites check:
+// the shipped degree layout and a seeded uniformly random permutation, an
+// adversary with no structure for a kernel to lean on.
+func relabelings(t *testing.T, g *graph.Graph, seed int64) []relabeling {
+	t.Helper()
+	dg, dperm := applyReorder(t, g, graph.ReorderDegree)
+	perm := make([]int32, g.NumVertices())
+	for i, p := range rand.New(rand.NewSource(seed)).Perm(len(perm)) {
+		perm[i] = int32(p)
+	}
+	rg, _, err := g.Relabel(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []relabeling{{"degree", dg, dperm}, {"random", rg, perm}}
+}
+
 func TestPermutationEquivalence(t *testing.T) {
-	kinds := []graph.ReorderKind{graph.ReorderDegree, graph.ReorderBFS}
 	for seed := int64(1); seed <= 50; seed++ {
 		g := equivGraph(seed)
 		n := g.NumVertices()
@@ -62,8 +85,8 @@ func TestPermutationEquivalence(t *testing.T) {
 		refDeg := stats.Degrees(g)
 		refGini := stats.GiniCoefficient(g)
 
-		for _, kind := range kinds {
-			rg, perm := applyReorder(t, g, kind)
+		for _, r := range relabelings(t, g, seed) {
+			kind, rg, perm := r.name, r.g, r.perm
 
 			// Betweenness: exact run, scores permute (1e-9 rel float).
 			got := bc.Centrality(rg, bc.Options{}).Scores
@@ -179,8 +202,8 @@ func TestPermutationEquivalenceWeighted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, kind := range []graph.ReorderKind{graph.ReorderDegree, graph.ReorderBFS} {
-			rg, perm := applyReorder(t, g, kind)
+		for _, r := range relabelings(t, g, seed) {
+			kind, rg, perm := r.name, r.g, r.perm
 			got, err := sssp.Dijkstra(rg, perm[3])
 			if err != nil {
 				t.Fatal(err)
@@ -190,51 +213,6 @@ func TestPermutationEquivalenceWeighted(t *testing.T) {
 					t.Fatalf("seed %d %v: dist[%d] = %d vs %d", seed, kind, old,
 						ref.Dist[old], got.Dist[perm[old]])
 				}
-			}
-		}
-	}
-}
-
-// TestCompactKernelEquivalence pins the compact representation's "same
-// function, smaller bytes" contract across kernels: integer results are
-// identical, because kernels traverse identical neighbor sequences either
-// way; betweenness agrees to the repository tolerance (each source's
-// contribution is the same, the order workers sum them in is not).
-func TestCompactKernelEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		g := equivGraph(seed)
-		c := g.Compact()
-		n := g.NumVertices()
-
-		raw := bc.Centrality(g, bc.Options{Samples: 32, Seed: seed}).Scores
-		comp := bc.Centrality(c, bc.Options{Samples: 32, Seed: seed}).Scores
-		for v := 0; v < n; v++ {
-			if !testutil.AlmostEqual(raw[v], comp[v]) {
-				t.Fatalf("seed %d: bc[%d] = %v raw, %v compact", seed, v, raw[v], comp[v])
-			}
-		}
-
-		rb, cb := bfs.Search(g, 0), bfs.Search(c, 0)
-		for v := 0; v < n; v++ {
-			if rb.Level[v] != cb.Level[v] {
-				t.Fatalf("seed %d: level[%d] differs on compact graph", seed, v)
-			}
-		}
-
-		rc, ccres := cc.Components(g), cc.Components(c)
-		if rc.Count != ccres.Count {
-			t.Fatalf("seed %d: component count %d vs %d", seed, rc.Count, ccres.Count)
-		}
-		for v := 0; v < n; v++ {
-			if rc.Colors[v] != ccres.Colors[v] {
-				t.Fatalf("seed %d: color[%d] differs on compact graph", seed, v)
-			}
-		}
-
-		rk, ck := kcore.Decompose(g), kcore.Decompose(c)
-		for v := 0; v < n; v++ {
-			if rk[v] != ck[v] {
-				t.Fatalf("seed %d: core[%d] differs on compact graph", seed, v)
 			}
 		}
 	}

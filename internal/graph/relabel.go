@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"graphct/internal/par"
 )
@@ -44,74 +43,6 @@ func DegreePerm(g *Graph) []int32 {
 	return perm
 }
 
-// BFSPerm returns a Cuthill–McKee-style frontier ordering: starting from a
-// minimum-degree seed, vertices are numbered in BFS visitation order with
-// each frontier's neighbors enqueued in ascending degree. Vertices of a
-// BFS level get contiguous ids, so level-synchronous sweeps touch
-// contiguous state, and every unreached component is seeded in turn (by
-// its minimum-degree vertex), so the permutation always covers the graph.
-// Directed graphs are traversed along out-arcs.
-func BFSPerm(g *Graph) []int32 {
-	n := g.NumVertices()
-	perm := make([]int32, n)
-	for v := range perm {
-		perm[v] = -1
-	}
-	// Seeds in ascending degree (ties by id): the classic CM heuristic of
-	// starting from a peripheral low-degree vertex, reused per component.
-	seeds := make([]int32, n)
-	for v := range seeds {
-		seeds[v] = int32(v)
-	}
-	sort.SliceStable(seeds, func(i, j int) bool {
-		di, dj := g.Degree(seeds[i]), g.Degree(seeds[j])
-		if di != dj {
-			return di < dj
-		}
-		return seeds[i] < seeds[j]
-	})
-	next := int32(0)
-	queue := make([]int32, 0, n)
-	var row []int32
-	for _, s := range seeds {
-		if perm[s] != -1 {
-			continue
-		}
-		perm[s] = next
-		next++
-		queue = append(queue[:0], s)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			// Collect unvisited neighbors, then append in ascending
-			// degree so the next level is itself locality-ordered.
-			row = row[:0]
-			for it := g.NeighborIter(u); ; {
-				w, ok := it.Next()
-				if !ok {
-					break
-				}
-				if perm[w] == -1 {
-					perm[w] = -2 // claimed, id assigned below
-					row = append(row, w)
-				}
-			}
-			sort.SliceStable(row, func(i, j int) bool {
-				di, dj := g.Degree(row[i]), g.Degree(row[j])
-				if di != dj {
-					return di < dj
-				}
-				return row[i] < row[j]
-			})
-			for _, w := range row {
-				perm[w] = next
-				next++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return perm
-}
-
 // InversePerm returns inv with inv[perm[v]] = v.
 func InversePerm(perm []int32) []int32 {
 	inv := make([]int32, len(perm))
@@ -148,12 +79,8 @@ func checkPerm(perm []int32, n int) error {
 // scale-16 R-MAT graph it ran 42 ms against this 34 ms.) The result is a
 // valid CSR graph whose kernels compute the same function as g up to the
 // renaming — the permutation-equivalence property tests quantify this for
-// every kernel. The receiver must be raw (relabel before Compact;
-// Layout.Apply orders the two correctly).
+// every kernel.
 func (g *Graph) Relabel(perm []int32) (*Graph, []int32, error) {
-	if g.compact != nil {
-		return nil, nil, fmt.Errorf("graph: relabel of a compacted graph (relabel first, then Compact)")
-	}
 	n := g.NumVertices()
 	if err := checkPerm(perm, n); err != nil {
 		return nil, nil, err

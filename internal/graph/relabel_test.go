@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -52,41 +53,9 @@ func TestDegreePermHubsFirst(t *testing.T) {
 	}
 }
 
-func TestBFSPermLevelContiguityAndCoverage(t *testing.T) {
-	// Two components: a path 0-1-2-3 and a triangle 4-5-6.
-	g, err := FromEdges(7, []Edge{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 4}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perm := BFSPerm(g)
-	if err := checkPerm(perm, 7); err != nil {
-		t.Fatal(err)
-	}
-	// Every vertex of the first-seeded component must be numbered before
-	// any vertex of the other: a BFS exhausts a component before reseeding.
-	pathMax := perm[0]
-	for _, v := range []int32{1, 2, 3} {
-		if perm[v] > pathMax {
-			pathMax = perm[v]
-		}
-	}
-	triMin := perm[4]
-	for _, v := range []int32{5, 6} {
-		if perm[v] < triMin {
-			triMin = perm[v]
-		}
-	}
-	if !(pathMax == 3 && triMin == 4) && !(triMin == 0 && pathMax == 6) {
-		t.Fatalf("components interleaved: perm=%v", perm)
-	}
-}
-
-func TestBFSPermCoversRandomGraphs(t *testing.T) {
+func TestDegreePermCoversRandomGraphs(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		g := randomGraph(t, 100, 150, seed) // sparse: isolated vertices likely
-		if err := checkPerm(BFSPerm(g), g.NumVertices()); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		if err := checkPerm(DegreePerm(g), g.NumVertices()); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -179,87 +148,43 @@ func TestRelabelRejectsBadInput(t *testing.T) {
 	if _, _, err := g.Relabel([]int32{0, 1, 2, 3, 4, 5, 7}); err == nil {
 		t.Fatal("out-of-range target accepted")
 	}
-	if _, _, err := g.Compact().Relabel(DegreePerm(g)); err == nil {
-		t.Fatal("relabel of a compact graph accepted")
-	}
 }
 
 func TestLayoutApplyPolicies(t *testing.T) {
 	g := relabelTestGraph(t)
 
-	// Auto with the default budget: a tiny graph stays raw.
 	lg, inv, err := Layout{Reorder: ReorderDegree}.Apply(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lg.Compacted() {
-		t.Fatal("tiny graph compacted under the default budget")
-	}
 	if inv == nil {
 		t.Fatal("reordering returned no inverse permutation")
 	}
-
-	// Auto with a one-byte budget must compact; CompactOff must not.
-	lg, _, err = Layout{Compact: CompactAuto, CompactBudget: 1}.Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lg.Compacted() {
-		t.Fatal("budget-exceeding graph stayed raw under CompactAuto")
-	}
-	lg, inv, err = Layout{Compact: CompactOff, CompactBudget: 1}.Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lg.Compacted() || inv != nil {
-		t.Fatal("CompactOff with no reorder must be a no-op")
+	if !slices.Equal(inv, InversePerm(DegreePerm(g))) || lg.NumArcs() != g.NumArcs() {
+		t.Fatal("degree layout is not the DegreePerm relabeling")
 	}
 
-	// CompactOn forces compression; weighted graphs are exempt.
-	lg, _, err = Layout{Compact: CompactOn}.Apply(g)
+	// No reordering is a no-op: the same graph, ids unchanged.
+	lg, inv, err = Layout{}.Apply(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lg.Compacted() {
-		t.Fatal("CompactOn left the graph raw")
-	}
-	wg, err := FromWeightedEdges(3, []WeightedEdge{{0, 1, 5}, {1, 2, 6}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg, _, err = Layout{Compact: CompactOn}.Apply(wg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lg.Compacted() {
-		t.Fatal("weighted graph compacted")
-	}
-
-	// Reordering an already-compact graph is a configuration error.
-	if _, _, err := (Layout{Reorder: ReorderBFS}).Apply(g.Compact()); err == nil {
-		t.Fatal("layout reorder of a compact graph accepted")
+	if lg != g || inv != nil {
+		t.Fatal("ReorderNone must be a no-op")
 	}
 }
 
 func TestParseFlags(t *testing.T) {
-	reorders := map[string]ReorderKind{"": ReorderNone, "none": ReorderNone, "degree": ReorderDegree, "bfs": ReorderBFS}
+	reorders := map[string]ReorderKind{"": ReorderNone, "none": ReorderNone, "degree": ReorderDegree}
 	for s, want := range reorders {
 		got, err := ParseReorder(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseReorder(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseReorder("hilbert"); err == nil {
-		t.Fatal("unknown reorder accepted")
-	}
-	policies := map[string]CompactPolicy{"": CompactAuto, "auto": CompactAuto, "on": CompactOn, "off": CompactOff}
-	for s, want := range policies {
-		got, err := ParseCompactPolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseCompactPolicy(%q) = %v, %v", s, got, err)
+	for _, s := range []string{"bfs", "hilbert"} {
+		if _, err := ParseReorder(s); err == nil {
+			t.Fatalf("unknown reorder %q accepted", s)
 		}
-	}
-	if _, err := ParseCompactPolicy("zstd"); err == nil {
-		t.Fatal("unknown compact policy accepted")
 	}
 }

@@ -21,11 +21,6 @@ func (g *Graph) Undirected() *Graph {
 		b := idBits(g.NumVertices())
 		keys := g.emitKeys(func(u, w int32) uint64 { return uint64(min(u, w))<<b | uint64(max(u, w)) })
 		g.undirected = build(g.NumVertices(), keys, nil, Options{KeepSelfLoops: true})
-		if g.compact != nil {
-			// A compact directed graph gets a compact undirected view, so
-			// kernels that symmetrize first keep the small working set.
-			g.undirected = g.undirected.Compact()
-		}
 	})
 	return g.undirected
 }
@@ -54,10 +49,9 @@ func (g *Graph) Reverse() *Graph {
 func (g *Graph) emitKeys(key func(u, w int32) uint64) []uint64 {
 	keys := make([]uint64, g.NumArcs())
 	par.ForChunked(g.NumVertices(), 0, func(lo, hi int) {
-		var buf []int32
 		for u := lo; u < hi; u++ {
 			p := g.rowPtr[u]
-			for i, w := range g.NeighborsInto(&buf, int32(u)) {
+			for i, w := range g.Neighbors(int32(u)) {
 				keys[p+int64(i)] = key(int32(u), w)
 			}
 		}
@@ -90,7 +84,7 @@ func (g *Graph) Induced(keep []bool) (*Graph, []int32) {
 	return sub, origID
 }
 
-// filterRows builds the raw graph whose row r is g's row rows[r] mapped
+// filterRows builds the graph whose row r is g's row rows[r] mapped
 // through to, which drops an arc by returning -1 and must be increasing on
 // the arcs it keeps (a dense renaming of a kept set is), so mapped rows are
 // sorted as written and repeats collapse to their first instance (and its
@@ -102,13 +96,12 @@ func (g *Graph) filterRows(rows []int32, to func(v, w int32) int32, keepWeights 
 	var adj, wts []int32
 	walk := func(fill bool) {
 		par.ForChunked(n, 0, func(lo, hi int) {
-			var buf []int32
 			for r := lo; r < hi; r++ {
 				v, p, last := rows[r], int64(0), int32(-1)
 				if fill {
 					p = rowPtr[r]
 				}
-				for i, w := range g.NeighborsInto(&buf, v) {
+				for i, w := range g.Neighbors(v) {
 					if w = to(v, w); w < 0 || w == last {
 						continue
 					}

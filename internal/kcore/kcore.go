@@ -47,15 +47,8 @@ func Decompose(g *graph.Graph) []int32 {
 				core[v] = k
 			})
 			remaining -= len(peel)
-			// NeighborIter keeps the peeled vertices' row decode
-			// allocation-free on compact graphs; par.For's per-index
-			// closures can't share a decode buffer.
 			par.For(len(peel), func(i int) {
-				for it := g.NeighborIter(peel[i]); ; {
-					w, ok := it.Next()
-					if !ok {
-						break
-					}
+				for _, w := range g.Neighbors(peel[i]) {
 					if alive[w] {
 						atomic.AddInt32(&deg[w], -1)
 					}

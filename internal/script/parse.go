@@ -150,13 +150,12 @@ var staticChecks = map[string]func(args []string) error{
 	"reciprocal": nil,
 	"reorder": func(args []string) error {
 		if len(args) != 1 {
-			return parseErrf("usage: reorder degree|bfs")
+			return parseErrf("usage: reorder degree")
 		}
-		switch strings.ToLower(args[0]) {
-		case "degree", "bfs":
-			return nil
+		if !strings.EqualFold(args[0], "degree") {
+			return parseErrf("unknown reorder %q (want degree)", args[0])
 		}
-		return parseErrf("unknown reorder %q (want degree or bfs)", args[0])
+		return nil
 	},
 	"bfs": func(args []string) error {
 		if len(args) != 2 {

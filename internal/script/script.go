@@ -504,23 +504,23 @@ func (in *Interp) cmdKCentrality(args []string, redirect string) error {
 	return nil
 }
 
-// cmdReorder relabels the current graph for cache locality. Vertex ids in
-// later per-vertex output still refer to the loaded graph (the toolkit
-// composes the inverse permutation into its orig-id mapping), so the
-// command changes kernel speed, not kernel answers.
+// cmdReorder relabels the current graph degree-descending for cache
+// locality. Vertex ids in later per-vertex output still refer to the
+// loaded graph (the toolkit composes the inverse permutation into its
+// orig-id mapping), so the command changes kernel speed, not kernel
+// answers.
 func (in *Interp) cmdReorder(args []string) error {
 	if len(args) != 1 {
-		return parseErrf("usage: reorder degree|bfs")
+		return parseErrf("usage: reorder degree")
 	}
-	kind, err := graph.ParseReorder(strings.ToLower(args[0]))
-	if err != nil || kind == graph.ReorderNone {
-		return parseErrf("unknown reorder %q (want degree or bfs)", args[0])
+	if !strings.EqualFold(args[0], "degree") {
+		return parseErrf("unknown reorder %q (want degree)", args[0])
 	}
-	if err := in.tk.Reorder(kind); err != nil {
+	if err := in.tk.Reorder(graph.ReorderDegree); err != nil {
 		return err
 	}
 	g := in.tk.Graph()
-	fmt.Fprintf(in.out, "reordered %s: %d vertices, %d edges\n", kind, g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(in.out, "reordered degree: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	return nil
 }
 

@@ -88,11 +88,11 @@ type Registry struct {
 	mu sync.RWMutex
 	m  map[string]*GraphEntry
 
-	// Layout is applied to every graph loaded from a file (Load). Live
-	// graphs are exempt: each epoch is assembled by IncrementalCSR from
-	// raw rows in the ids clients ingest — clean rows copied from the
-	// previous epoch, dirty ones from the stream — so they stay raw and
-	// in ingest order.
+	// Layout is the vertex order applied to every graph loaded from a
+	// file (Load). Live graphs are exempt: each epoch is assembled by
+	// IncrementalCSR from rows in the ids clients ingest — clean rows
+	// copied from the previous epoch, dirty ones from the stream — so
+	// they stay in ingest order.
 	Layout graph.Layout
 }
 
@@ -161,8 +161,8 @@ func isPerm(orig []int32) bool {
 }
 
 // Load reads a graph file in the given format ("dimacs", "edgelist" or
-// "binary"), applies the registry's memory layout (reordering and/or
-// adjacency compression), and publishes it under name. When the layout
+// "binary"), applies the registry's layout (degree reordering when set),
+// and publishes it under name. When the layout
 // relabels, the entry carries the id translation so the relabeling stays
 // invisible at the API.
 func (r *Registry) Load(name, format, path string, directed bool) (*GraphEntry, error) {

@@ -42,7 +42,7 @@ func TestRegistryLoadAppliesLayout(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	reg.Layout = graph.Layout{Reorder: graph.ReorderDegree, Compact: graph.CompactOff}
+	reg.Layout = graph.Layout{Reorder: graph.ReorderDegree}
 	e, err := reg.Load("g", "dimacs", path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestRegistryLoadAppliesLayout(t *testing.T) {
 // directly on the original labels: the relabeling must be invisible.
 func TestKernelsTranslateVertexIDs(t *testing.T) {
 	g := translationGraph()
-	rg, inv, err := graph.Layout{Reorder: graph.ReorderDegree, Compact: graph.CompactOff}.Apply(g)
+	rg, inv, err := graph.Layout{Reorder: graph.ReorderDegree}.Apply(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestKernelsTranslateVertexIDs(t *testing.T) {
 // way back to the loaded graph's external labels.
 func TestExtractComposesTranslation(t *testing.T) {
 	g := translationGraph() // largest component: the 5-vertex star, external 3-7
-	rg, inv, err := graph.Layout{Reorder: graph.ReorderDegree, Compact: graph.CompactOff}.Apply(g)
+	rg, inv, err := graph.Layout{Reorder: graph.ReorderDegree}.Apply(g)
 	if err != nil {
 		t.Fatal(err)
 	}

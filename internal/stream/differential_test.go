@@ -208,7 +208,7 @@ func TestValidationErrorLeavesStreamUnchanged(t *testing.T) {
 }
 
 // TestFromGraphMatchesOracle seeds both streams from static graphs with
-// repeated arcs, self loops, directed arcs and compact rows, then replays
+// repeated arcs, self loops and directed arcs, then replays
 // random batches on top.
 func TestFromGraphMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -230,12 +230,11 @@ func TestFromGraphMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := map[string]*graph.Graph{
-		"multigraph":         multi,
-		"self loops":         build(graph.Options{KeepSelfLoops: true}),
-		"directed":           build(graph.Options{Directed: true, KeepDuplicates: true}),
-		"compact multigraph": multi.Compact(),
-		"empty":              empty,
-		"rmat-10":            gen.RMAT(gen.PaperRMAT(10, 2)),
+		"multigraph": multi,
+		"self loops": build(graph.Options{KeepSelfLoops: true}),
+		"directed":   build(graph.Options{Directed: true, KeepDuplicates: true}),
+		"empty":      empty,
+		"rmat-10":    gen.RMAT(gen.PaperRMAT(10, 2)),
 	}
 	for name, g := range inputs {
 		s, o := FromGraph(g), oracleFromGraph(g)

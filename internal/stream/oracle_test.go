@@ -61,10 +61,9 @@ func oracleFromGraph(g *graph.Graph) *oracleStream {
 		g = g.Undirected()
 	}
 	s := newOracle(g.NumVertices())
-	var buf []int32
 	for v := 0; v < s.n; v++ {
 		prev := int32(v) // rows are sorted: skips w <= v, then repeats of w
-		for _, w := range g.NeighborsInto(&buf, int32(v)) {
+		for _, w := range g.Neighbors(int32(v)) {
 			if w <= prev {
 				continue
 			}

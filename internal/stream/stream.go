@@ -89,11 +89,7 @@ func FromGraph(g *graph.Graph) *Stream {
 	arcs := make([]int32, g.NumArcs())
 	par.For(s.n, func(v int) {
 		row := arcs[rowPtr[v]:rowPtr[v]:rowPtr[v+1]]
-		for it := g.NeighborIter(int32(v)); ; {
-			w, ok := it.Next()
-			if !ok {
-				break
-			}
+		for _, w := range g.Neighbors(int32(v)) {
 			if w != int32(v) && (len(row) == 0 || w != row[len(row)-1]) {
 				row = append(row, w)
 			}

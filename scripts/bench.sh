@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # Reproducible benchmark harness, two parts:
 #
-# 1. Memory-layout ablation: runs cmd/bench with the committed report's
+# 1. Vertex-order ablation: runs cmd/bench with the committed report's
 #    exact configuration (R-MAT scale 16, seed 1, 32 sampled sources,
 #    GOMAXPROCS=4, k=1, best-of-3 reps) and refreshes BENCH_PR7.json at
 #    the repo root, printing the ablation table — baseline /
-#    reorder+compact / reorder (default). Pass cmd/bench flags to
+#    reorder (default). Pass cmd/bench flags to
 #    override, e.g.:
 #
 #      scripts/bench.sh                    # full acceptance run
@@ -42,7 +42,7 @@ fi
 
 go run ./cmd/bench \
 	-scale 16 -samples 32 -seed 1 -procs 4 -k 1 -reps 3 \
-	-reorder degree -out BENCH_PR7.json "$@"
+	-out BENCH_PR7.json "$@"
 
 go run ./cmd/loadgen \
 	-scale 12 -seed 1 -duration 8s -warmup 2s -lanes ablate \
@@ -54,5 +54,5 @@ go run ./cmd/loadgen -check BENCH_LOAD.json
 
 go run ./cmd/bench \
 	-approx -scale "$approx_scale" -eps 0.01 -delta 0.1 -seed 1 \
-	-procs 4 -reps 3 -reorder degree -out BENCH_PR10.json
+	-procs 4 -reps 3 -out BENCH_PR10.json
 go run ./cmd/bench -check BENCH_PR10.json
