@@ -17,6 +17,8 @@
 //	GET    /debug/failpoints           (requires -debug)
 //	POST   /debug/failpoints           {"arm":"spec"} | {"disarm":"name"} |
 //	                                   {"disarm_all":true} | {"seed":N}
+//	GET    /debug/pprof/...            runtime profiles, net/http/pprof
+//	                                   (requires -debug)
 //	GET    /graphs
 //	POST   /graphs                     {"name","format","path","directed"}
 //	                                   or {"name","format":"live","vertices":N}
@@ -138,7 +140,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 1<<20, "updates accepted per ingest request")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive kernel failures tripping a (graph,kernel) circuit breaker (<0 disables)")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "how long a tripped breaker stays open before half-opening")
-	debug := flag.Bool("debug", false, "expose the POST /debug/failpoints fault-injection endpoint")
+	debug := flag.Bool("debug", false, "expose the POST /debug/failpoints fault-injection endpoint and the /debug/pprof/ profiles")
 	dataDir := flag.String("data-dir", "", "durability root: live graphs persist snapshots and a write-ahead batch log here and warm-restart on boot (empty = in-memory only)")
 	retainEpochs := flag.Int("retain-epochs", 3, "durable snapshot epochs kept per live graph (also serve ?epoch=E point-in-time reads)")
 	reorder := flag.String("reorder", "none", "relabel loaded graphs degree-descending for cache locality: degree or none (vertex ids in the API stay the file's; live graphs are never relabeled)")

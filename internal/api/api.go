@@ -2,7 +2,7 @@
 // speaks the daemon's HTTP protocol: the X-Graphct-* header names, the
 // QoS class values, the ingest/snapshot/WAL content types and the JSON
 // error shape. graphctd (server and router roles), the follower
-// replication tailer, cmd/loadgen, cmd/tweetgen and the graphct CLI's
+// replication tailer, internal/load, cmd/tweetgen and the graphct CLI's
 // connect mode all import these constants instead of repeating string
 // literals, so the client and server halves of the protocol cannot drift
 // apart silently.

@@ -150,6 +150,24 @@ func TestApproxTopKStopsEarlier(t *testing.T) {
 	}
 }
 
+// TestApproxStopsWellBeforeCap pins the stopping rule on a scale-12
+// R-MAT at ε 0.01, δ 0.1: the empirical-Bernstein check must fire while
+// the run has drawn at most a quarter of the worst-case Hoeffding cap. A
+// broken rule runs on to tMax, where the Hoeffding radius alone stops it.
+// Sample i seeds from (seed, i), so the count is the same at any worker
+// count.
+func TestApproxStopsWellBeforeCap(t *testing.T) {
+	g := gen.RMAT(gen.PaperRMAT(12, 1))
+	const eps, delta = 0.01, 0.1
+	tMax := newAdaptiveEstimator(g, ApproxOptions{Concurrency: 1}, eps, delta).tMax
+	res := ApproxCentrality(g, ApproxOptions{Epsilon: eps, Delta: delta, Seed: 1})
+	gu := res.Guarantee
+	t.Logf("%d of %d samples, %d rounds", gu.SamplesUsed, tMax, gu.Rounds)
+	if !gu.Stopped || gu.SamplesUsed > tMax/4 {
+		t.Fatalf("guarantee %+v: want stopped within tMax/4 = %d samples", gu, tMax/4)
+	}
+}
+
 // TestApproxOptionValidation pins the fail-fast path: out-of-range
 // tolerances are caller bugs.
 func TestApproxOptionValidation(t *testing.T) {

@@ -518,3 +518,49 @@ func BenchmarkKBetweennessK1(b *testing.B) {
 		Centrality(g, Options{K: 1, Samples: 64, Seed: int64(i)})
 	}
 }
+
+// TestWarmSourceSweepsDoNotAllocate pins the per-source hot paths to zero
+// heap allocations once their workspaces are warm: a Brandes source on a
+// reused workspace and a bidirectional pair sample on a reused
+// pairWorkspace. An extra copy or a per-level buffer creeping into either
+// loop shows here as a non-zero count.
+func TestWarmSourceSweepsDoNotAllocate(t *testing.T) {
+	g := gen.RMAT(gen.PaperRMAT(12, 1))
+	n := int32(g.NumVertices())
+	const runs = 64
+
+	ws := newWorkspace(g, 0)
+	sink := scoreSink{local: make([]float64, n), scale: 1}
+	src := func(i int) int32 { return int32(i*97) % n }
+	for i := 0; i < runs; i++ { // warm-up: grow every slice to its peak
+		brandesSource(g, src(i), ws, sink)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		brandesSource(g, src(i%runs), ws, sink)
+		i++
+	}); allocs != 0 {
+		t.Errorf("warm brandesSource allocates %.2f times a source, want 0", allocs)
+	}
+
+	pw := newPairWorkspace(int(n))
+	sample := func(i int) {
+		rng := sm64{state: deriveState(1, int64(i))}
+		s := rng.intn(n)
+		u := rng.intn(n - 1)
+		if u >= s {
+			u++
+		}
+		bidirSample(g, pw, s, u, &rng)
+	}
+	for i := 0; i < runs; i++ {
+		sample(i)
+	}
+	i = 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		sample(i % runs)
+		i++
+	}); allocs != 0 {
+		t.Errorf("warm bidirSample allocates %.2f times a sample, want 0", allocs)
+	}
+}

@@ -1,15 +1,15 @@
 // Package load is the mixed-workload SLO harness: a closed+open-loop
 // driver that plays a configurable mix of cheap kernel reads, sparse
 // expensive centrality requests and streaming ingest against a running
-// graphctd, recording per-class latency quantiles and status rates into a
-// machine-readable report (BENCH_LOAD.json). The paper's premise is
-// interactive analysis of a Twitter-scale graph under continuous update;
-// this package is how the repo proves the serving path holds latency
+// graphctd, recording per-class latency quantiles and status rates. The
+// paper's premise is interactive analysis of a Twitter-scale graph under
+// continuous update; graphctd's TestLanesProtectCheapReads drives this
+// package against the real binary to prove the serving path holds latency
 // SLOs when those workloads contend.
 //
 // The package also owns the shared HTTP client conventions — jittered
-// exponential backoff, idempotent batch posting — that cmd/tweetgen
-// pioneered and cmd/loadgen reuses.
+// exponential backoff, idempotent batch posting — that cmd/tweetgen and
+// the benchmark's live workload use.
 package load
 
 import (

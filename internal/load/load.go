@@ -42,22 +42,22 @@ type Options struct {
 // the latency quantiles the SLOs are written against. All figures cover
 // the measured window only (post-warmup).
 type ClassReport struct {
-	Name    string `json:"name"`
-	Mode    string `json:"mode"` // "open" or "closed"
-	Workers int    `json:"workers,omitempty"`
+	Name    string
+	Mode    string // "open" or "closed"
+	Workers int
 
-	OfferedQPS  float64 `json:"offered_qps,omitempty"` // open-loop target
-	AchievedQPS float64 `json:"achieved_qps"`          // completions / measured window
+	OfferedQPS  float64 // open-loop target
+	AchievedQPS float64 // completions / measured window
 
-	Requests int64            `json:"requests"` // completed requests measured
-	Errors   int64            `json:"errors"`   // transport failures (no status)
-	Missed   int64            `json:"missed,omitempty"`
-	Status   map[string]int64 `json:"status"` // "200" -> count
+	Requests int64            // completed requests measured
+	Errors   int64            // transport failures (no status)
+	Missed   int64            // open-loop arrivals dropped at the in-flight cap
+	Status   map[string]int64 // "200" -> count
 
-	P50Ms float64 `json:"p50_ms"`
-	P95Ms float64 `json:"p95_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
+	P50Ms float64
+	P95Ms float64
+	P99Ms float64
+	MaxMs float64
 }
 
 // Rate returns the fraction of measured requests that saw status (e.g.

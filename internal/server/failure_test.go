@@ -250,8 +250,9 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
-// TestFailpointEndpointGating: the debug endpoint is 404 unless Debug is
-// configured, and when enabled it arms, lists and disarms points.
+// TestFailpointEndpointGating: the debug endpoints (failpoints, pprof)
+// are 404 unless Debug is configured, and when enabled the failpoint
+// endpoint arms, lists and disarms points.
 func TestFailpointEndpointGating(t *testing.T) {
 	t.Cleanup(failpoint.Default.DisarmAll)
 
@@ -259,8 +260,14 @@ func TestFailpointEndpointGating(t *testing.T) {
 	if status, _, _ := get(t, tsOff.URL+"/debug/failpoints"); status != http.StatusNotFound {
 		t.Fatal("failpoint endpoint exposed without Debug")
 	}
+	if status, _, _ := get(t, tsOff.URL+"/debug/pprof/cmdline"); status != http.StatusNotFound {
+		t.Fatal("pprof exposed without Debug")
+	}
 
 	_, ts, _ := newTestServer(t, Config{Debug: true}, gen.Complete(4))
+	if status, _, _ := get(t, ts.URL+"/debug/pprof/cmdline"); status != http.StatusOK {
+		t.Fatalf("pprof cmdline with Debug: %d, want 200", status)
+	}
 	post := func(req failpointRequest) (int, []byte) {
 		t.Helper()
 		b, _ := json.Marshal(req)

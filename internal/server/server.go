@@ -41,6 +41,7 @@ package server
 
 import (
 	"net/http"
+	"net/http/pprof"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -107,8 +108,9 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker stays open before it
 	// half-opens for a single probe (default 1s).
 	BreakerCooldown time.Duration
-	// Debug exposes the failpoint control endpoint (/debug/failpoints).
-	// Off by default: fault injection is an operator tool, not an API.
+	// Debug exposes the failpoint control endpoint (/debug/failpoints)
+	// and the runtime profiles under /debug/pprof/. Off by default: fault
+	// injection and profiling are operator tools, not an API.
 	Debug bool
 	// DataDir enables durability: live graphs persist epoch snapshots to
 	// a blob store under it and log every applied batch to a write-ahead
@@ -225,6 +227,15 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /debug/failpoints", s.handleFailpoints)
 	mux.HandleFunc("POST /debug/failpoints", s.handleFailpoints)
+	if s.cfg.Debug {
+		// Registered here by hand: the pprof package's init also fills
+		// http.DefaultServeMux, which no graphct listener serves.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /graphs", s.handleListGraphs)
 	mux.HandleFunc("POST /graphs", s.handleLoadGraph)
