@@ -9,6 +9,12 @@
 // sources in flight. Every source-parallel kernel (classic, k-, directed,
 // weighted) goes through one driver, runSources.
 //
+// Classic undirected betweenness first folds pendant (degree-1) vertices
+// into their neighbors when enough sweeps share the saving (fold.go): the
+// sweeps run on the pendant-free core, once per distinct core source and
+// weighted by the drawn sources it answers for, and the scores are exact
+// — the same as unfolded, pendants at 0. Mention graphs are 40 % pendants.
+//
 // Accumulation into the score array departs from the XMT idiom on purpose.
 // The paper's hardware hides the latency of hammering one shared array
 // with atomic updates; on cache-coherent commodity machines the same
@@ -87,6 +93,9 @@ func Centrality(g *graph.Graph, opt Options) *Result {
 // cooperative cancellation between source computations — the coarse loop
 // is the kernel's natural checkpoint granularity. A cancelled context
 // returns ctx.Err() with no result.
+//
+// Classic betweenness (k = 0) folds pendant vertices away when that pays
+// (fold.go); the scores are exact either way.
 func CentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 	if opt.K < 0 || opt.K > MaxK {
 		panic(fmt.Sprintf("bc: k = %d outside supported range [0, %d]", opt.K, MaxK))
@@ -96,40 +105,65 @@ func CentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, e
 		// the backward sweeps likewise assume symmetric adjacency.
 		g = g.Undirected()
 	}
-	return runSources(ctx, g, opt, func() sourceKernel {
+	sources, sweeps, scale := drawSources(g, opt)
+	if opt.K == 0 {
+		if f := planFold(g, sources); f != nil {
+			scores, err := runSources(ctx, f.core.NumVertices(), f.sweeps, scale, opt.Concurrency, f.kernel)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Scores: f.expand(scores), Sources: sources}, nil
+		}
+	}
+	scores, err := runSources(ctx, g.NumVertices(), sweeps, scale, opt.Concurrency, func() sourceKernel {
 		ws := newWorkspace(g, opt.K)
 		if opt.K == 0 {
 			return func(s int32, sink scoreSink) { brandesSource(g, s, ws, sink) }
 		}
 		return func(s int32, sink scoreSink) { kbcSource(g, s, ws, sink) }
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Scores: scores, Sources: sources, K: opt.K}, nil
 }
 
-// runSources is the one source-parallel driver: draw the sources, keep at
-// most opt.Concurrency of them in flight, each on a slot holding a private
-// score stripe and a kernel from newKernel, and merge the stripes. The
-// context is checked between sources; in-flight sources finish.
-func runSources(ctx context.Context, g *graph.Graph, opt Options, newKernel func() sourceKernel) (*Result, error) {
+// drawSources draws opt's sources from g, one unit sweep each, and the
+// scale n/|sources| that makes sums over them estimate the exact scores.
+func drawSources(g *graph.Graph, opt Options) ([]int32, []sweep, float64) {
 	n := g.NumVertices()
 	sources := sampleWithStrategy(g, opt.Samples, opt.Seed, opt.Strategy)
+	sweeps := make([]sweep, len(sources))
+	for i, s := range sources {
+		sweeps[i] = sweep{s: s, weight: 1}
+	}
 	scale := 1.0
 	if len(sources) > 0 && len(sources) < n {
 		scale = float64(n) / float64(len(sources))
 	}
-	limit := opt.Concurrency
+	return sources, sweeps, scale
+}
+
+// runSources is the one source-parallel driver: keep at most concurrency
+// sweeps over an n-vertex graph in flight, each on a slot holding a
+// private score stripe and a kernel from newKernel, and merge the stripes.
+// A sweep's contributions are scaled by scale times its weight. The
+// context is checked between sweeps; in-flight sweeps finish.
+func runSources(ctx context.Context, n int, sweeps []sweep, scale float64, concurrency int, newKernel func() sourceKernel) ([]float64, error) {
+	limit := concurrency
 	if limit <= 0 {
 		limit = par.Workers()
 	}
-	// One slot per source that can be in flight, handed out through a free
-	// list; fewer sources than the limit means fewer to allocate and merge.
-	stripes := make([][]float64, max(1, min(limit, len(sources))))
+	// One slot per sweep that can be in flight, handed out through a free
+	// list; fewer sweeps than the limit means fewer to allocate and merge.
+	stripes := make([][]float64, max(1, min(limit, len(sweeps))))
 	free := make(chan *slot, len(stripes))
 	for i := range stripes {
 		stripes[i] = make([]float64, n)
-		free <- &slot{sink: scoreSink{local: stripes[i], scale: scale}}
+		free <- &slot{local: stripes[i]}
 	}
 	grp := par.NewGroup(limit)
-	for _, s := range sources {
+	for _, sw := range sweeps {
 		if ctx.Err() != nil {
 			break // stop scheduling
 		}
@@ -141,7 +175,11 @@ func runSources(ctx context.Context, g *graph.Graph, opt Options, newKernel func
 			if sl.kernel == nil {
 				sl.kernel = newKernel()
 			}
-			sl.kernel(s, sl.sink)
+			sl.kernel(sw.s, scoreSink{
+				local: sl.local,
+				scale: scale * float64(sw.weight),
+				leaf:  scale * float64(sw.leaves),
+			})
 			free <- sl
 			return nil
 		})
@@ -154,7 +192,7 @@ func runSources(ctx context.Context, g *graph.Graph, opt Options, newKernel func
 	}
 	scores := make([]float64, n)
 	par.SumSlices(scores, stripes) // tree reduction; consumes the stripes
-	return &Result{Scores: scores, Sources: sources, K: opt.K}, nil
+	return scores, nil
 }
 
 // sampleSources returns the source set: all vertices when samples is out of

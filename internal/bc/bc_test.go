@@ -521,9 +521,10 @@ func BenchmarkKBetweennessK1(b *testing.B) {
 
 // TestWarmSourceSweepsDoNotAllocate pins the per-source hot paths to zero
 // heap allocations once their workspaces are warm: a Brandes source on a
-// reused workspace and a bidirectional pair sample on a reused
-// pairWorkspace. An extra copy or a per-level buffer creeping into either
-// loop shows here as a non-zero count.
+// reused workspace, the weighted pendant-aware Brandes source of a folded
+// run, and a bidirectional pair sample on a reused pairWorkspace. An extra
+// copy or a per-level buffer creeping into any of the loops shows here as a
+// non-zero count.
 func TestWarmSourceSweepsDoNotAllocate(t *testing.T) {
 	g := gen.RMAT(gen.PaperRMAT(12, 1))
 	n := int32(g.NumVertices())
@@ -541,6 +542,27 @@ func TestWarmSourceSweepsDoNotAllocate(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("warm brandesSource allocates %.2f times a source, want 0", allocs)
+	}
+
+	forceFold(t)
+	rich := withPendants(t, g, int(n)/2, 1)
+	f := planFold(rich, []int32{0})
+	if f == nil {
+		t.Fatal("forced fold declined")
+	}
+	fws := newWorkspace(f.core, 0)
+	fws.pend = f.pend
+	core := int32(f.core.NumVertices())
+	fsink := scoreSink{local: make([]float64, core), scale: 3, leaf: 2}
+	for i := 0; i < runs; i++ {
+		brandesSource(f.core, src(i)%core, fws, fsink)
+	}
+	i = 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		brandesSource(f.core, src(i%runs)%core, fws, fsink)
+		i++
+	}); allocs != 0 {
+		t.Errorf("warm folded brandesSource allocates %.2f times a source, want 0", allocs)
 	}
 
 	pw := newPairWorkspace(int(n))

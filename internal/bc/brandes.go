@@ -24,6 +24,9 @@ type workspace struct {
 	order      []int32   // visitation order of the last search
 	levelStart []int     // offsets into order where each BFS level begins
 	bottomUps  int       // levels discovered pull-style; survives reset (test sentinel)
+	// pend[v] counts the pendants folded into v (fold.go); nil on an
+	// unfolded graph. It is shared read-only by every slot of a run.
+	pend []float64
 }
 
 // newWorkspace sizes a workspace for g.
@@ -69,10 +72,17 @@ func (ws *workspace) reset() {
 // forward strategy discovered each level — the property the test against
 // the top-down oracle pins down. (Path counts are integer-valued, so
 // forward summation order cannot perturb them either.)
+//
+// On a folded graph the sweep from s also stands for sink.leaf's drawn
+// pendants of s: a pendant's own sweep would be this one shifted a level
+// down, with the same dependency on every vertex but s, and s on the path
+// to every other vertex reached — all of them but the pendant and s.
 func brandesSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 	defer ws.reset()
 	ws.forwardSweep(g, s)
-	backwardSweep(g, s, ws, sink)
+	if reached := backwardSweep(g, s, ws, sink); sink.leaf != 0 {
+		sink.local[s] += sink.leaf * (reached - 2)
+	}
 }
 
 // forwardSweep labels dist and sigma from s and records the visitation
@@ -189,9 +199,15 @@ func (ws *workspace) bottomUpLevel(g *graph.Graph, frontier []int32) {
 // read as the cleared 0). The inner loop is one load and one add per
 // edge: no dist read, no branch, no divide. ws.sigTot is dead in the
 // k=0 path and hosts coef without a new allocation.
-func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
-	sigma, delta := ws.sigma, ws.delta
+//
+// On a folded graph each of v's pendants is one more successor, with
+// sigma[v] paths and no dependency of its own, so it adds exactly 1 to
+// delta[v]: pend[v] in all. The sweep returns the vertices s reaches in
+// the unfolded graph, pendants included.
+func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) (reached float64) {
+	sigma, delta, pend := ws.sigma, ws.delta, ws.pend
 	coef := ws.sigTot
+	reached = float64(len(ws.order))
 	for li := len(ws.levelStart) - 1; li >= 0; li-- {
 		lo := ws.levelStart[li]
 		hi := len(ws.order)
@@ -205,6 +221,10 @@ func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 				dsum += coef[w]
 			}
 			dsum *= sigma[v]
+			if pend != nil {
+				dsum += pend[v]
+				reached += pend[v]
+			}
 			delta[v] = dsum
 			if v != s {
 				sink.add(v, dsum)
@@ -216,4 +236,5 @@ func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 			coef[v] = (1 + delta[v]) / sigma[v]
 		}
 	}
+	return reached
 }

@@ -22,10 +22,15 @@ func DirectedCentrality(g *graph.Graph, opt Options) (*Result, error) {
 		return Centrality(g, opt), nil
 	}
 	rev := g.Reverse()
-	return runSources(context.Background(), g, opt, func() sourceKernel {
+	sources, sweeps, scale := drawSources(g, opt)
+	scores, err := runSources(context.Background(), g.NumVertices(), sweeps, scale, opt.Concurrency, func() sourceKernel {
 		ws := newWorkspace(g, 0)
 		return func(s int32, sink scoreSink) { directedSource(g, rev, s, ws, sink) }
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Scores: scores, Sources: sources}, nil
 }
 
 // directedSource is Brandes over directed arcs: the forward sweep follows

@@ -37,6 +37,25 @@ func topDownCentrality(g *graph.Graph) []float64 {
 	return sink.local
 }
 
+// unfoldedFor is the k = 0 path before pendant folding: every source swept
+// on g itself, one after another into one score array, in the order given.
+// It is the reference the folded run is compared against; with one source
+// in flight the unfolded driver matches it to the bit.
+func unfoldedFor(g *graph.Graph, sources []int32, scale float64) []float64 {
+	ws := newWorkspace(g, 0)
+	sink := scoreSink{local: make([]float64, g.NumVertices()), scale: scale}
+	for _, s := range sources {
+		brandesSource(g, s, ws, sink)
+	}
+	return sink.local
+}
+
+// unfoldedCentrality is unfoldedFor over the sources opt draws.
+func unfoldedCentrality(g *graph.Graph, opt Options) *Result {
+	sources, _, scale := drawSources(g, opt)
+	return &Result{Scores: unfoldedFor(g, sources, scale), Sources: sources}
+}
+
 func requireScoresClose(t *testing.T, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {

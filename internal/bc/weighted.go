@@ -31,9 +31,14 @@ func WeightedCentrality(g *graph.Graph, opt Options) (*Result, error) {
 			}
 		}
 	}
-	return runSources(context.Background(), g, opt, func() sourceKernel {
+	sources, sweeps, scale := drawSources(g, opt)
+	scores, err := runSources(context.Background(), g.NumVertices(), sweeps, scale, opt.Concurrency, func() sourceKernel {
 		return func(s int32, sink scoreSink) { weightedSource(g, s, sink) }
 	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Scores: scores, Sources: sources}, nil
 }
 
 // weightedSource is Brandes with Dijkstra: dist and sigma are settled in

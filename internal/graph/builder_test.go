@@ -326,6 +326,19 @@ func checkTransforms(t *testing.T, what string, g *Graph) {
 		}
 	})
 	sameCSR(t, what+" Induced spec", sub, specGraph(int(m), ind, g.directed, weighted), true)
+	// InducedArcs keeps every arc between kept vertices, repeats included,
+	// and no weights.
+	arcs, aorig := g.InducedArcs(keep)
+	if !slices.Equal(aorig, orig) {
+		t.Fatalf("%s InducedArcs: origID differs", what)
+	}
+	var all []specArc
+	slot(func(u, v, w int32) {
+		if keep[u] && keep[v] {
+			all = append(all, specArc{newID[u], newID[v], w, 0})
+		}
+	})
+	sameCSR(t, what+" InducedArcs spec", arcs, specGraph(int(m), all, g.directed, false), true)
 
 	sameCSR(t, what+" ReciprocalCore", g.ReciprocalCore(), oracleReciprocalCore(g), true)
 	live := make([]bool, n)

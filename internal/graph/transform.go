@@ -66,6 +66,19 @@ func (g *Graph) emitKeys(key func(u, w int32) uint64) []uint64 {
 // weights follow the arcs they belong to. This is GraphCT's "extract a
 // subgraph induced by a coloring function".
 func (g *Graph) Induced(keep []bool) (*Graph, []int32) {
+	return g.induced(keep, true, true)
+}
+
+// InducedArcs is Induced for kernels that count unweighted shortest paths:
+// every arc between kept vertices survives, repeats included, so path
+// counts on a multigraph are those of g, and no weights are copied. Like
+// Induced it is built in parallel rows from g's own invariants, with no
+// re-validation.
+func (g *Graph) InducedArcs(keep []bool) (*Graph, []int32) {
+	return g.induced(keep, false, false)
+}
+
+func (g *Graph) induced(keep []bool, keepWeights, collapse bool) (*Graph, []int32) {
 	n := g.NumVertices()
 	newID := make([]int32, n)
 	origID := make([]int32, 0)
@@ -79,7 +92,7 @@ func (g *Graph) Induced(keep []bool) (*Graph, []int32) {
 			newID[v] = -1
 		}
 	}
-	sub := g.filterRows(origID, func(_, w int32) int32 { return newID[w] }, true)
+	sub := g.filterRows(origID, func(_, w int32) int32 { return newID[w] }, keepWeights, collapse)
 	sub.directed = g.directed
 	return sub, origID
 }
@@ -87,10 +100,10 @@ func (g *Graph) Induced(keep []bool) (*Graph, []int32) {
 // filterRows builds the graph whose row r is g's row rows[r] mapped
 // through to, which drops an arc by returning -1 and must be increasing on
 // the arcs it keeps (a dense renaming of a kept set is), so mapped rows are
-// sorted as written and repeats collapse to their first instance (and its
-// weight, when keepWeights). One parallel pass counts each row, a second
-// writes it: no edge list, no sort.
-func (g *Graph) filterRows(rows []int32, to func(v, w int32) int32, keepWeights bool) *Graph {
+// sorted as written; with collapse, repeats collapse to their first
+// instance (and its weight, when keepWeights). One parallel pass counts
+// each row, a second writes it: no edge list, no sort.
+func (g *Graph) filterRows(rows []int32, to func(v, w int32) int32, keepWeights, collapse bool) *Graph {
 	n := len(rows)
 	rowPtr := make([]int64, n+1)
 	var adj, wts []int32
@@ -102,7 +115,7 @@ func (g *Graph) filterRows(rows []int32, to func(v, w int32) int32, keepWeights 
 					p = rowPtr[r]
 				}
 				for i, w := range g.Neighbors(v) {
-					if w = to(v, w); w < 0 || w == last {
+					if w = to(v, w); w < 0 || collapse && w == last {
 						continue
 					}
 					if fill {
@@ -152,7 +165,7 @@ func (g *Graph) ReciprocalCore() *Graph {
 			return w
 		}
 		return -1
-	}, false)
+	}, false, true)
 }
 
 // DropIsolated removes vertices with no incident arcs in either direction,

@@ -69,7 +69,20 @@ func routedCluster(t *testing.T, n int) (*Router, *httptest.Server, []*Server, [
 func TestRouterPartitionsByName(t *testing.T) {
 	rt, rts, workers, backends := routedCluster(t, 2)
 
+	// The ring is placed by the backends' random ports, so six fixed
+	// names can all hash to one shard. Add names until both shards own
+	// one; with two shards, 64 extra names all missing one is a bug in
+	// the ring, not bad luck.
 	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	leaders := make(map[string]bool)
+	for _, name := range names {
+		leaders[rt.shardFor(name).Leader()] = true
+	}
+	for i := 0; len(leaders) < 2 && i < 64; i++ {
+		name := fmt.Sprintf("extra-%d", i)
+		names = append(names, name)
+		leaders[rt.shardFor(name).Leader()] = true
+	}
 	for _, name := range names {
 		status, body := postJSON(t, rts.URL+"/graphs", map[string]any{
 			"name": name, "format": "live", "vertices": 50,
