@@ -1,11 +1,11 @@
-// Package kcore implements GraphCT's k-core extraction kernel: iterative
-// parallel peeling of vertices below the degree threshold until a fixed
-// point, yielding both the core number of every vertex and induced k-core
-// subgraphs.
+// Package kcore implements GraphCT's k-core extraction kernel: peeling
+// vertices below the degree threshold until a fixed point, yielding both
+// the core number of every vertex and induced k-core subgraphs (or only
+// their sizes).
 package kcore
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"graphct/internal/graph"
 	"graphct/internal/par"
@@ -14,49 +14,66 @@ import (
 // Decompose returns core[v], the largest k such that v belongs to the
 // k-core of g (the maximal subgraph where every vertex has degree >= k).
 // Isolated vertices have core number 0. Directed graphs are decomposed on
-// their undirected projection.
+// their undirected projection. Degrees count arcs: a repeated edge counts
+// once per copy, and a self loop counts in its vertex's degree for as long
+// as the vertex stands.
+//
+// The peeling is Batagelj and Zaversnik's, O(n + m): vertices sit in an
+// array bucket-sorted by current degree, and walking the array peels them
+// in nondecreasing degree. Peeling v lowers each neighbor of higher degree
+// by one, moving it to the front of its bucket and the bucket's start past
+// it, so the part of the array not yet walked stays sorted. The degree a
+// vertex holds when the walk reaches it is its core number.
 func Decompose(g *graph.Graph) []int32 {
 	if g.Directed() {
 		g = g.Undirected()
 	}
 	n := g.NumVertices()
 	deg := make([]int32, n)
-	core := make([]int32, n)
-	alive := make([]bool, n)
-	par.For(n, func(v int) {
+	var maxDeg int32
+	for v := range deg {
 		deg[v] = int32(g.Degree(int32(v)))
-		alive[v] = true
-	})
-	remaining := n
-	for k := int32(0); remaining > 0; k++ {
-		// Peel everything of degree <= k at this level; repeat until no
-		// vertex at this level remains, then raise k.
-		for {
-			var peel []int32
-			for v := 0; v < n; v++ {
-				if alive[v] && deg[v] <= k {
-					peel = append(peel, int32(v))
-				}
+		maxDeg = max(maxDeg, deg[v])
+	}
+	// bin[d] is where degree d's bucket starts in vert; pos[v] is v's
+	// index in vert.
+	bin := make([]int32, maxDeg+2)
+	for _, d := range deg {
+		bin[d+1]++
+	}
+	for d := int32(1); d <= maxDeg+1; d++ {
+		bin[d] += bin[d-1]
+	}
+	pos := make([]int32, n)
+	vert := make([]int32, n)
+	for v, d := range deg {
+		pos[v] = bin[d]
+		vert[bin[d]] = int32(v)
+		bin[d]++
+	}
+	copy(bin[1:], bin[:maxDeg+1])
+	bin[0] = 0
+	// vert[i] is read when the walk reaches it: swaps only move entries
+	// past i, into the buckets of higher degree.
+	for _, v := range vert {
+		dv := deg[v]
+		for _, u := range g.Neighbors(v) {
+			du := deg[u]
+			if du <= dv {
+				continue
 			}
-			if len(peel) == 0 {
-				break
+			// Swap u with the first vertex of its bucket, then shrink the
+			// bucket past it: u now heads bucket du-1.
+			pu, pw := pos[u], bin[du]
+			if w := vert[pw]; w != u {
+				pos[u], vert[pu] = pw, w
+				pos[w], vert[pw] = pu, u
 			}
-			par.For(len(peel), func(i int) {
-				v := peel[i]
-				alive[v] = false
-				core[v] = k
-			})
-			remaining -= len(peel)
-			par.For(len(peel), func(i int) {
-				for _, w := range g.Neighbors(peel[i]) {
-					if alive[w] {
-						atomic.AddInt32(&deg[w], -1)
-					}
-				}
-			})
+			bin[du]++
+			deg[u] = du - 1
 		}
 	}
-	return core
+	return deg
 }
 
 // MaxCore returns the degeneracy of g: the largest k with a non-empty
@@ -78,4 +95,35 @@ func Extract(g *graph.Graph, k int32) (*graph.Graph, []int32) {
 	keep := make([]bool, g.NumVertices())
 	par.For(len(keep), func(v int) { keep[v] = core[v] >= k })
 	return g.Induced(keep)
+}
+
+// Size returns the vertex and edge counts Extract(g, k) would report —
+// NumVertices and NumEdges of the k-core it builds — without building it.
+// core is Decompose(g). As in Induced, repeated arcs count once; as in
+// NumEdges, a directed g counts its arcs and an undirected one its edges
+// with a self loop counted once.
+func Size(g *graph.Graph, core []int32, k int32) (vertices int, edges int64) {
+	vertices = int(par.Count(len(core), func(v int) bool { return core[v] >= k }))
+	edges = par.ReduceSum(len(core), func(v int) int64 {
+		if core[v] < k {
+			return 0
+		}
+		row := g.Neighbors(int32(v))
+		if !g.Directed() {
+			// Each undirected edge {v, w} is counted from its lower end,
+			// a self loop from its own row.
+			lo, _ := slices.BinarySearch(row, int32(v))
+			row = row[lo:]
+		}
+		var kept int64
+		last := int32(-1)
+		for _, w := range row {
+			if w != last && core[w] >= k {
+				kept++
+			}
+			last = w
+		}
+		return kept
+	})
+	return vertices, edges
 }

@@ -140,10 +140,8 @@ var staticChecks = map[string]func(args []string) error{
 		if len(args) != 1 {
 			return parseErrf("usage: kcores K")
 		}
-		if k, err := strconv.Atoi(args[0]); err != nil || k < 0 {
-			return parseErrf("bad core level %q", args[0])
-		}
-		return nil
+		_, err := parseCoreLevel(args[0])
+		return err
 	},
 	"clustering": nil,
 	"undirected": nil,

@@ -537,15 +537,25 @@ func (in *Interp) cmdComponents() error {
 	return nil
 }
 
+// parseCoreLevel parses a kcores K argument: a core level in
+// [0, math.MaxInt32], the range of a core number.
+func parseCoreLevel(arg string) (int32, error) {
+	k, err := strconv.ParseInt(arg, 10, 32)
+	if err != nil || k < 0 {
+		return 0, parseErrf("bad core level %q", arg)
+	}
+	return int32(k), nil
+}
+
 func (in *Interp) cmdKCores(args []string) error {
 	if len(args) != 1 {
 		return parseErrf("usage: kcores K")
 	}
-	k, err := strconv.Atoi(args[0])
-	if err != nil || k < 0 {
-		return parseErrf("bad core level %q", args[0])
+	k, err := parseCoreLevel(args[0])
+	if err != nil {
+		return err
 	}
-	in.tk.KCores(int32(k))
+	in.tk.KCores(k)
 	g := in.tk.Graph()
 	fmt.Fprintf(in.out, "%d-core: %d vertices, %d edges\n", k, g.NumVertices(), g.NumEdges())
 	return nil

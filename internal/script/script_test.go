@@ -220,6 +220,20 @@ func TestErrorsCarryLineNumbers(t *testing.T) {
 	}
 }
 
+// TestKCoresLargestLevel runs the largest core level a script accepts:
+// MaxInt32 is in range and leaves an empty core.
+func TestKCoresLargestLevel(t *testing.T) {
+	dir := t.TempDir()
+	writeTestGraph(t, dir)
+	out, err := run(t, dir, "read dimacs test.dimacs\nkcores 2147483647\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "2147483647-core: 0 vertices, 0 edges") {
+		t.Fatalf("kcores 2147483647: %s", out)
+	}
+}
+
 func TestCommandsBeforeRead(t *testing.T) {
 	_, err := run(t, t.TempDir(), "print degrees\n")
 	if err == nil || !strings.Contains(err.Error(), "no graph loaded") {
@@ -256,6 +270,8 @@ func TestBadArguments(t *testing.T) {
 		"kcentrality 1 y",
 		"kcores",
 		"kcores x",
+		"kcores 2147483648", // one past MaxInt32: not truncated to the whole graph
+		"kcores 4294967297", // 2^32 + 1: not truncated to the 1-core
 		"bfs 0",
 		"bfs 99 1",
 		"bfs x 1",
@@ -590,6 +606,8 @@ func TestErrorClassification(t *testing.T) {
 		"frobnicate\n", // unknown command
 		"components\n", // kernel before any read
 		"read dimacs test.dimacs\nkcentrality 9 1\n",    // k outside range
+		"read dimacs test.dimacs\nkcores 2147483648\n",  // core level past MaxInt32
+		"read dimacs test.dimacs\nkcores 4294967297\n",  // core level past MaxInt32
 		"read dimacs test.dimacs\nbfs 0\n",              // missing argument
 		"read dimacs test.dimacs\nkcentrality 0 0 =>\n", // redirect without file
 		"read dimacs test.dimacs\n=> out.txt\n",         // redirect without command

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 
 	"graphct/internal/bc"
 	"graphct/internal/core"
 	"graphct/internal/failpoint"
+	"graphct/internal/kcore"
 	"graphct/internal/sssp"
 	"graphct/internal/stats"
 )
@@ -71,14 +73,14 @@ func (s *Server) parseKernel(kernel string, e *GraphEntry, q url.Values) (string
 		}, nil
 	case "kcores":
 		k, err := intParam(q, "k", 1)
-		if err != nil || k < 0 {
+		if err != nil || k < 0 || k > math.MaxInt32 {
 			return "", nil, fmt.Errorf("bad k %q", q.Get("k"))
 		}
 		return fmt.Sprintf("k=%d", k), func(ctx context.Context) (any, error) {
-			t := tk()
-			t.KCores(int32(k))
-			sub := t.Graph()
-			return map[string]any{"k": k, "vertices": sub.NumVertices(), "edges": sub.NumEdges()}, nil
+			// The reply is the k-core's size only, so it is counted from
+			// the core numbers instead of built.
+			vertices, edges := kcore.Size(g, kcore.Decompose(g), int32(k))
+			return map[string]any{"k": k, "vertices": vertices, "edges": edges}, nil
 		}, nil
 	case "kcentrality":
 		k, err := intParam(q, "k", 0)

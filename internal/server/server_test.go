@@ -247,6 +247,8 @@ func TestBadRequests(t *testing.T) {
 		{"/graphs/g/bfs?src=100", http.StatusBadRequest},
 		{"/graphs/g/sssp?src=-1", http.StatusBadRequest},
 		{"/graphs/g/kcores?k=-2", http.StatusBadRequest},
+		{"/graphs/g/kcores?k=2147483648", http.StatusBadRequest}, // would truncate to MinInt32: the whole graph
+		{"/graphs/g/kcores?k=4294967297", http.StatusBadRequest}, // would truncate to 1: the 1-core
 		{"/graphs/g/components?timeout_ms=zero", http.StatusBadRequest},
 	} {
 		status, _, body := get(t, ts.URL+tc.path)
