@@ -172,17 +172,6 @@ func BenchmarkAblationSampling(b *testing.B) {
 	}
 }
 
-// Directed-flow betweenness on a follower network (paper future work).
-func BenchmarkDirectedBCFollower(b *testing.B) {
-	g := gen.Follower(gen.DefaultFollower(4000, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bc.DirectedCentrality(g, bc.Options{Samples: 128, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDiameterEstimate(b *testing.B) {
 	g := gen.RMAT(gen.PaperRMAT(13, 1))
 	b.ResetTimer()

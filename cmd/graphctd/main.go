@@ -42,7 +42,9 @@
 //	GET    /graphs/{name}/bfs?src=V&depth=D
 //	GET    /graphs/{name}/sssp?src=V
 //
-// Kernel endpoints accept ?timeout_ms=N for a per-request deadline. Live
+// Graph files load relabeled degree-descending for cache locality (DESIGN
+// §10.1); vertex ids in the API stay the file's. Kernel endpoints accept
+// ?timeout_ms=N for a per-request deadline. Live
 // graphs (created with format "live", or preloaded via
 // -graph NAME=live:VERTICES) accept batched edge updates on their ingest
 // endpoint; every -snapshot-every effective mutations the daemon publishes
@@ -108,7 +110,6 @@ import (
 	"time"
 
 	"graphct/internal/failpoint"
-	"graphct/internal/graph"
 	"graphct/internal/server"
 )
 
@@ -143,16 +144,9 @@ func main() {
 	debug := flag.Bool("debug", false, "expose the POST /debug/failpoints fault-injection endpoint and the /debug/pprof/ profiles")
 	dataDir := flag.String("data-dir", "", "durability root: live graphs persist snapshots and a write-ahead batch log here and warm-restart on boot (empty = in-memory only)")
 	retainEpochs := flag.Int("retain-epochs", 3, "durable snapshot epochs kept per live graph (also serve ?epoch=E point-in-time reads)")
-	reorder := flag.String("reorder", "none", "relabel loaded graphs degree-descending for cache locality: degree or none (vertex ids in the API stay the file's; live graphs are never relabeled)")
 	var graphs graphFlags
 	flag.Var(&graphs, "graph", "preload NAME=FORMAT:PATH (formats: dimacs, edgelist, binary) or NAME=live:VERTICES (repeatable)")
 	flag.Parse()
-
-	layout := graph.Layout{}
-	var err error
-	if layout.Reorder, err = graph.ParseReorder(*reorder); err != nil {
-		log.Fatalf("graphctd: -reorder: %v", err)
-	}
 
 	// GRAPHCT_FAILPOINTS arms fault injection before any request is
 	// served; see internal/failpoint for the spec grammar. The armed
@@ -201,7 +195,6 @@ func main() {
 	}
 
 	reg := server.NewRegistry()
-	reg.Layout = layout
 	srv := server.New(reg, server.Config{
 		MaxConcurrent:    *maxConcurrent,
 		MaxQueued:        *maxQueued,

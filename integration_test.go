@@ -87,7 +87,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 5. Rankings: exact vs 25% sampling, overlap must be meaningful; the
 	// most central actor must be a broadcast hub handle.
-	exact := tk.BetweennessExact()
+	exact := tk.KCentrality(0, 0)
 	approx := tk.BetweennessApprox(lwcc.NumVertices() / 4)
 	overlap := rank.TopAccuracy(exact.Scores, approx.Scores, 0.05)
 	if overlap < 0.5 {

@@ -94,7 +94,7 @@ type Guarantee struct {
 
 // ApproxResult is an approximate centrality result plus its guarantee.
 // Scores are scaled by n·(n-1) so they estimate the same quantity the
-// exact kernel reports and TopK/Normalized work unchanged; Sources is nil
+// exact kernel reports and TopK works unchanged; Sources is nil
 // (the estimator samples pairs, not sources).
 type ApproxResult struct {
 	Result

@@ -6,8 +6,9 @@
 //
 // Parallelism follows the paper's coarse level: many source computations
 // run concurrently, bounded so working memory stays O(S·(m+n)) for S
-// sources in flight. Every source-parallel kernel (classic, k-, directed,
-// weighted) goes through one driver, runSources.
+// sources in flight. Every source-parallel kernel (classic, folded and
+// k-) goes through one driver, runSources. Directed graphs are analysed
+// on their undirected projection, as the paper analyses mention graphs.
 //
 // Classic undirected betweenness first folds pendant (degree-1) vertices
 // into their neighbors when enough sweeps share the saving (fold.go): the
@@ -212,23 +213,6 @@ func sampleSources(n, samples int, seed int64) []int32 {
 	out := make([]int32, samples)
 	for i := 0; i < samples; i++ {
 		out[i] = int32(perm[i])
-	}
-	return out
-}
-
-// Normalized returns the scores divided by (n-1)(n-2), the number of
-// ordered vertex pairs a vertex could broker — the conventional
-// normalization that makes scores comparable across graph sizes. Graphs
-// with fewer than 3 vertices return zeros.
-func (r *Result) Normalized() []float64 {
-	n := len(r.Scores)
-	out := make([]float64, n)
-	if n < 3 {
-		return out
-	}
-	denom := float64(n-1) * float64(n-2)
-	for v, s := range r.Scores {
-		out[v] = s / denom
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package bc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -377,16 +378,58 @@ func TestSampleSourcesProperties(t *testing.T) {
 	}
 }
 
+// TestDirectedGraphUsesUndirectedProjection pins the one directed path
+// left: every kernel projects a directed graph before sweeping it, so the
+// forward sweep only ever sees symmetric adjacency. On a directed R-MAT
+// multigraph with one-way arcs, reciprocal pairs, self-loops and repeated
+// arcs, each call must give the same scores as on g.Undirected(): to the
+// bit with one source in flight, within tolerance with four.
 func TestDirectedGraphUsesUndirectedProjection(t *testing.T) {
-	d, _ := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}, graph.Options{Directed: true})
+	path, _ := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}, graph.Options{Directed: true})
+	requireScoresClose(t, Exact(path).Scores, Exact(path.Undirected()).Scores)
+
+	p := gen.PaperRMAT(10, 7)
+	p.EdgeFactor = 2 // keeps the exact k = 2 sweeps quick under -race
+	edges := gen.RMATEdges(p)
+	for v := int32(0); v < 64; v++ {
+		edges = append(edges, graph.Edge{U: v, V: v}, graph.Edge{U: v, V: v + 100}, graph.Edge{U: v, V: v + 100}, graph.Edge{U: v + 100, V: v})
+	}
+	d := mustEdges(t, 1<<10, edges, graph.Options{Directed: true, KeepSelfLoops: true, KeepDuplicates: true})
 	u := d.Undirected()
-	a := Exact(d).Scores
-	b := Exact(u).Scores
-	for v := range a {
-		if !testutil.AlmostEqual(a[v], b[v]) {
-			t.Fatalf("directed BC differs from undirected projection at %d", v)
+	if !d.Directed() || u.Directed() {
+		t.Fatal("want a directed input and an undirected projection")
+	}
+	check := func(t *testing.T, run func(g *graph.Graph, c int) []float64) {
+		want := run(u, 1)
+		got := run(d, 1)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("concurrency 1, v=%d: directed %v, projection %v", v, got[v], want[v])
+			}
+		}
+		requireScoresClose(t, run(d, 4), want)
+	}
+	for _, tc := range []struct {
+		name  string
+		k     int
+		foldC int64 // 0 forces the pendant fold, 1<<40 rules it out; k > 0 never folds
+	}{{"k=0/folded", 0, 0}, {"k=0/unfolded", 0, 1 << 40}, {"k=1", 1, 1 << 40}, {"k=2", 2, 1 << 40}} {
+		for _, samples := range []int{0, 64} {
+			t.Run(fmt.Sprintf("%s/samples=%d", tc.name, samples), func(t *testing.T) {
+				old := foldC
+				foldC = tc.foldC
+				t.Cleanup(func() { foldC = old })
+				check(t, func(g *graph.Graph, c int) []float64 {
+					return Centrality(g, Options{K: tc.k, Samples: samples, Seed: 3, Concurrency: c}).Scores
+				})
+			})
 		}
 	}
+	t.Run("approx", func(t *testing.T) {
+		check(t, func(g *graph.Graph, c int) []float64 {
+			return ApproxCentrality(g, ApproxOptions{Epsilon: 0.05, Seed: 3, Concurrency: c}).Scores
+		})
+	})
 }
 
 func TestDisconnectedComponentsIndependent(t *testing.T) {
@@ -440,26 +483,6 @@ func TestTopKLarge(t *testing.T) {
 		a, b := r.Scores[top[i-1]], r.Scores[top[i]]
 		if a < b || (a == b && top[i-1] >= top[i]) {
 			t.Fatalf("TopK order violated at %d", i)
-		}
-	}
-}
-
-func TestNormalized(t *testing.T) {
-	g := gen.Star(10)
-	r := Exact(g)
-	norm := r.Normalized()
-	if !testutil.AlmostEqual(norm[0], 1) { // the hub brokers every pair
-		t.Fatalf("normalized hub = %v, want 1", norm[0])
-	}
-	for v := 1; v < 10; v++ {
-		if norm[v] != 0 {
-			t.Fatalf("normalized leaf = %v", norm[v])
-		}
-	}
-	tiny := &Result{Scores: []float64{5, 7}}
-	for _, v := range tiny.Normalized() {
-		if v != 0 {
-			t.Fatal("n<3 normalization should be zeros")
 		}
 	}
 }

@@ -86,14 +86,15 @@ func brandesSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 }
 
 // forwardSweep labels dist and sigma from s and records the visitation
-// order and level offsets. It is level-synchronous and, on undirected
-// graphs, direction-optimizing: each level runs top-down (push from the
+// order and level offsets. It is level-synchronous and
+// direction-optimizing: each level runs top-down (push from the
 // frontier) or bottom-up (every unvisited vertex pulls path counts
 // straight from the frontier-sigma array) by the Beamer thresholds shared
 // with the bfs engine. On scale-free graphs the two or three hub-dominated
 // middle levels hold most of the edges; bottom-up stops those levels from
-// scanning the whole edge list through the frontier. Directed graphs stay
-// top-down: pulling needs in-neighbors.
+// scanning the whole edge list through the frontier. Pulling reads a
+// vertex's own adjacency as its in-neighbors, so g must be undirected;
+// every caller projects directed input first.
 func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 	ws.dist[s] = 0
 	ws.sigma[s] = 1
@@ -102,7 +103,6 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 	frontier := ws.order[0:1]
 	n := int64(g.NumVertices())
 	remaining := g.NumArcs()
-	hybrid := !g.Directed()
 	for len(frontier) > 0 {
 		var frontierEdges int64
 		for _, u := range frontier {
@@ -110,7 +110,7 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 		}
 		remaining -= frontierEdges
 		frontierEnd := len(ws.order)
-		if hybrid && frontierEdges > remaining/bfs.HybridAlpha && int64(len(frontier)) > n/bfs.HybridBeta {
+		if frontierEdges > remaining/bfs.HybridAlpha && int64(len(frontier)) > n/bfs.HybridBeta {
 			ws.bottomUpLevel(g, frontier)
 		} else {
 			ws.topDownLevel(g, frontier)

@@ -14,7 +14,8 @@ func ExampleExact() {
 	res := bc.Exact(g)
 	fmt.Println("hub score:", res.Scores[0])
 	fmt.Println("leaf score:", res.Scores[3])
-	fmt.Println("normalized hub:", res.Normalized()[0])
+	// Divided by the (n-1)(n-2) ordered pairs a vertex could broker.
+	fmt.Println("normalized hub:", res.Scores[0]/(5*4))
 	// Output:
 	// hub score: 20
 	// leaf score: 0

@@ -2,7 +2,6 @@ package bc
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"graphct/internal/gen"
@@ -152,40 +151,5 @@ func TestHybridSweepTakesBottomUpLevels(t *testing.T) {
 	// survives reset.
 	if ws.bottomUps == 0 {
 		t.Fatal("no level ran bottom-up on a dense graph; thresholds broken?")
-	}
-}
-
-// TestDirectedWeightedAcrossConcurrency runs the two kernels that joined
-// the striped driver at one, two and four sources in flight; -race checks
-// that no two sources share a stripe or scratch.
-func TestDirectedWeightedAcrossConcurrency(t *testing.T) {
-	directed := gen.Follower(gen.DefaultFollower(300, 3))
-	rng := rand.New(rand.NewSource(4))
-	var wes []graph.WeightedEdge
-	for i := 0; i < 900; i++ {
-		wes = append(wes, graph.WeightedEdge{U: int32(rng.Intn(300)), V: int32(rng.Intn(300)), W: 1 + rng.Int31n(9)})
-	}
-	weighted, err := graph.FromWeightedEdges(300, wes, graph.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, run := range map[string]func(Options) (*Result, error){
-		"directed": func(opt Options) (*Result, error) { return DirectedCentrality(directed, opt) },
-		"weighted": func(opt Options) (*Result, error) { return WeightedCentrality(weighted, opt) },
-	} {
-		for _, samples := range []int{0, 40} {
-			var want []float64
-			for _, c := range []int{1, 2, 4} {
-				r, err := run(Options{Samples: samples, Seed: 5, Concurrency: c})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if want == nil {
-					want = r.Scores
-					continue
-				}
-				requireScoresClose(t, r.Scores, want)
-			}
-		}
 	}
 }

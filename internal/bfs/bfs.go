@@ -99,12 +99,6 @@ func Summarize(g *graph.Graph, src int32, maxDepth int) Summary {
 	return s
 }
 
-// Eccentricity returns the depth of a full BFS from src: the longest
-// shortest-path distance to any reachable vertex.
-func Eccentricity(g *graph.Graph, src int32) int {
-	return Summarize(g, src, -1).Depth
-}
-
 // Eccentricities returns the eccentricity of every source in srcs. The
 // parallelism is over sources, not inside a search: each worker owns a
 // workspace and runs whole searches serially, the coarse-grained shape
@@ -364,23 +358,4 @@ func (s sweep) bottomUp(d int32, front, next []uint64, wlo, whi int) (examined i
 		s.visited[w] |= found
 	}
 	return examined
-}
-
-// PathTo reconstructs a shortest path from the search source to v using the
-// parent pointers, or nil if v was not reached.
-func (r *Result) PathTo(v int32) []int32 {
-	if v < 0 || int(v) >= len(r.Level) || !r.Reached(v) {
-		return nil
-	}
-	var rev []int32
-	for u := v; ; u = r.Parent[u] {
-		rev = append(rev, u)
-		if u == r.Source {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

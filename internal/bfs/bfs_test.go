@@ -126,42 +126,6 @@ func TestParentLevels(t *testing.T) {
 	}
 }
 
-func TestPathTo(t *testing.T) {
-	g := gen.Grid(5, 5)
-	r := Search(g, 0)
-	p := r.PathTo(24)
-	if len(p) != r.Depth+1 || p[0] != 0 || p[len(p)-1] != 24 {
-		t.Fatalf("path = %v", p)
-	}
-	for i := 1; i < len(p); i++ {
-		if !g.HasEdge(p[i-1], p[i]) {
-			t.Fatalf("path step %d-%d not an edge", p[i-1], p[i])
-		}
-	}
-	if r.PathTo(-1) != nil {
-		t.Fatal("PathTo(-1) should be nil")
-	}
-	disc := Search(gen.Disjoint(gen.Path(2), gen.Path(2)), 0)
-	if disc.PathTo(3) != nil {
-		t.Fatal("PathTo(unreached) should be nil")
-	}
-	if got := r.PathTo(0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("PathTo(source) = %v", got)
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	if e := Eccentricity(gen.Path(9), 0); e != 8 {
-		t.Fatalf("path end ecc = %d", e)
-	}
-	if e := Eccentricity(gen.Path(9), 4); e != 4 {
-		t.Fatalf("path mid ecc = %d", e)
-	}
-	if e := Eccentricity(gen.Ring(10), 3); e != 5 {
-		t.Fatalf("ring ecc = %d", e)
-	}
-}
-
 // Reference sequential BFS for cross-checking.
 func seqLevels(g *graph.Graph, src int32) []int32 {
 	n := g.NumVertices()

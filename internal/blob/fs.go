@@ -24,9 +24,6 @@ type FS struct {
 // over a missing root simply see no objects.
 func NewFS(dir string) *FS { return &FS{root: dir} }
 
-// Root returns the store's root directory.
-func (s *FS) Root() string { return s.root }
-
 func (s *FS) path(key string) string {
 	return filepath.Join(s.root, filepath.FromSlash(key))
 }

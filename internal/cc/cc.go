@@ -125,8 +125,3 @@ func Extract(g *graph.Graph, r *Result, rank int) (*graph.Graph, []int32) {
 func Largest(g *graph.Graph) (*graph.Graph, []int32) {
 	return Extract(g, Components(g), 1)
 }
-
-// SameComponent reports whether u and v share a component in the labeling.
-func (r *Result) SameComponent(u, v int32) bool {
-	return r.Colors[u] == r.Colors[v]
-}

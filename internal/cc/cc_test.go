@@ -27,7 +27,7 @@ func TestDisjointComponents(t *testing.T) {
 	if r.Count != 3 {
 		t.Fatalf("components = %d, want 3", r.Count)
 	}
-	if !r.SameComponent(0, 4) || r.SameComponent(0, 5) {
+	if r.Colors[0] != r.Colors[4] || r.Colors[0] == r.Colors[5] {
 		t.Fatal("component membership wrong")
 	}
 	census := r.Census()
@@ -65,7 +65,7 @@ func TestDirectedWeakConnectivity(t *testing.T) {
 	if r.Count != 2 {
 		t.Fatalf("weak components = %d, want 2 ({0,1,2} and {3})", r.Count)
 	}
-	if !r.SameComponent(0, 2) {
+	if r.Colors[0] != r.Colors[2] {
 		t.Fatal("0 and 2 should be weakly connected")
 	}
 }
@@ -112,7 +112,7 @@ func TestPropertyMatchesBFS(t *testing.T) {
 		r := Components(g)
 		reach := bfs.Search(g, 0)
 		for v := 0; v < 100; v++ {
-			if reach.Reached(int32(v)) != r.SameComponent(0, int32(v)) {
+			if reach.Reached(int32(v)) != (r.Colors[0] == r.Colors[v]) {
 				return false
 			}
 		}

@@ -171,12 +171,3 @@ func Global(g *graph.Graph) float64 {
 	}
 	return float64(closed) / float64(wedges)
 }
-
-// TotalTriangles returns the number of distinct triangles in g.
-func TotalTriangles(g *graph.Graph) int64 {
-	var sum int64
-	for _, t := range Triangles(g) {
-		sum += t
-	}
-	return sum / 3
-}

@@ -18,7 +18,7 @@ func ExampleToolkit() {
 	tk.ExtractComponent(1)
 	fmt.Println("largest:", tk.Graph().NumVertices(), "vertices")
 
-	res := tk.BetweennessExact()
+	res := tk.KCentrality(0, 0) // k = 0, every source: exact betweenness
 	top := res.TopK(1)
 	fmt.Println("most central vertex (original id):", tk.OrigID(top[0]))
 

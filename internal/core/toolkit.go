@@ -191,14 +191,8 @@ func (t *Toolkit) Restore() error {
 	return nil
 }
 
-// StackDepth returns the number of saved graphs.
-func (t *Toolkit) StackDepth() int { return len(t.stack) }
-
 // DegreeStats summarizes the degree distribution.
 func (t *Toolkit) DegreeStats() stats.DegreeStats { return stats.Degrees(t.g) }
-
-// DegreeHistogram returns the exact degree histogram.
-func (t *Toolkit) DegreeHistogram() []stats.HistogramBin { return stats.DegreeHistogram(t.g) }
 
 // Components labels connected components, memoizing per current graph.
 func (t *Toolkit) Components() *cc.Result {
@@ -271,9 +265,6 @@ func (t *Toolkit) ApproxCentralityCtx(ctx context.Context, eps, delta float64, t
 		Epsilon: eps, Delta: delta, TopK: topK, Seed: t.seed,
 	})
 }
-
-// BetweennessExact computes exact betweenness centrality.
-func (t *Toolkit) BetweennessExact() *bc.Result { return bc.Exact(t.g) }
 
 // BetweennessApprox computes sampled approximate betweenness centrality.
 func (t *Toolkit) BetweennessApprox(samples int) *bc.Result {

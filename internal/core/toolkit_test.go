@@ -59,8 +59,8 @@ func TestSaveRestore(t *testing.T) {
 	if tk.Graph().NumVertices() != 3 {
 		t.Fatalf("second component = %v", tk.Graph())
 	}
-	if tk.StackDepth() != 1 {
-		t.Fatalf("stack depth = %d", tk.StackDepth())
+	if len(tk.stack) != 1 {
+		t.Fatalf("stack depth = %d", len(tk.stack))
 	}
 	if err := tk.Restore(); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestOrigIDComposition(t *testing.T) {
 
 func TestKCentralityAndApprox(t *testing.T) {
 	tk := New(gen.Star(20), WithSeed(5))
-	exact := tk.BetweennessExact()
+	exact := tk.KCentrality(0, 0)
 	if exact.Scores[0] != 19*18 {
 		t.Fatalf("hub BC = %v", exact.Scores[0])
 	}
@@ -206,9 +206,6 @@ func TestDegreeStatsAndHistogram(t *testing.T) {
 	st := tk.DegreeStats()
 	if st.Max != 4 || st.N != 5 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if bins := tk.DegreeHistogram(); len(bins) != 2 {
-		t.Fatalf("histogram = %v", bins)
 	}
 }
 

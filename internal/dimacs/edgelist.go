@@ -1,12 +1,9 @@
 package dimacs
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"os"
-	"strconv"
 
 	"graphct/internal/graph"
 	"graphct/internal/par"
@@ -28,16 +25,6 @@ type EdgeListOptions struct {
 	// limit, guarding against hostile lines demanding enormous
 	// allocations. <= 0 means unlimited (trusted input).
 	MaxVertices int
-}
-
-// ParseEdgeList reads an edge-list graph from r, parsing in parallel like
-// the DIMACS path.
-func ParseEdgeList(r io.Reader, opt EdgeListOptions) (*graph.Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("edgelist: read: %w", err)
-	}
-	return ParseEdgeListBytes(data, opt)
 }
 
 // ParseEdgeListFile reads the edge-list file at path.
@@ -117,27 +104,4 @@ func parseEdgeChunk(chunk []byte) ([]graph.Edge, int32, error) {
 		edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
 	}
 	return edges, max, nil
-}
-
-// WriteEdgeList emits g as an edge list; undirected edges are written
-// once (u <= v).
-func WriteEdgeList(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# graphct edge list: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	var line []byte // reused, as in Write
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(int32(v)) {
-			if !g.Directed() && u < int32(v) {
-				continue
-			}
-			line = strconv.AppendInt(line[:0], int64(v), 10)
-			line = append(line, ' ')
-			line = strconv.AppendInt(line, int64(u), 10)
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

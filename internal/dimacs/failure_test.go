@@ -82,19 +82,9 @@ func TestWriteDIMACSFailure(t *testing.T) {
 	}
 }
 
-func TestWriteEdgeListFailure(t *testing.T) {
-	g := gen.ErdosRenyi(40, 120, 2)
-	if err := WriteEdgeList(&failWriter{n: 50}, g); !errors.Is(err, errDiskFull) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestParseReaderFailure(t *testing.T) {
 	if _, err := Parse(&failReader{data: []byte("p edge 2 1\n")}, ParseOptions{}); !errors.Is(err, errDiskFull) {
 		t.Fatalf("dimacs err = %v", err)
-	}
-	if _, err := ParseEdgeList(&failReader{data: []byte("0 1\n")}, EdgeListOptions{}); !errors.Is(err, errDiskFull) {
-		t.Fatalf("edgelist err = %v", err)
 	}
 }
 

@@ -45,11 +45,3 @@ func Run(name string, cfg Config) error {
 	}
 	return nil
 }
-
-// All runs every experiment in paper order.
-func All(cfg Config) {
-	for _, name := range Names {
-		_ = Run(name, cfg)
-		fprintf(cfg.out(), "\n")
-	}
-}

@@ -222,6 +222,8 @@ func TestRunAndAll(t *testing.T) {
 	cfg := tiny()
 	cfg.RMATScales = []int{7}
 	cfg.Realizations = 1
+	var buf bytes.Buffer
+	cfg.Out = &buf
 	for _, name := range Names {
 		if err := Run(name, cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -230,12 +232,9 @@ func TestRunAndAll(t *testing.T) {
 	if err := Run("nope", cfg); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	var buf bytes.Buffer
-	cfg.Out = &buf
-	All(cfg)
 	for _, want := range []string{"Table II", "Table III", "Table IV", "Fig 2", "Fig 3", "Fig 4", "Fig 5", "Fig 6"} {
 		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("All output missing %q", want)
+			t.Fatalf("output missing %q", want)
 		}
 	}
 }

@@ -84,21 +84,3 @@ func Follower(p FollowerParams) *graph.Graph {
 	}
 	return g
 }
-
-// ReciprocityOf measures the fraction of arcs in a directed graph whose
-// reverse arc also exists.
-func ReciprocityOf(g *graph.Graph) float64 {
-	if g.NumArcs() == 0 {
-		return 0
-	}
-	mutual := par.ReduceSum(g.NumVertices(), func(v int) int64 {
-		var c int64
-		for _, w := range g.Neighbors(int32(v)) {
-			if g.HasEdge(w, int32(v)) {
-				c++
-			}
-		}
-		return c
-	})
-	return float64(mutual) / float64(g.NumArcs())
-}

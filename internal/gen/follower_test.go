@@ -47,7 +47,7 @@ func TestFollowerInDegreeSkew(t *testing.T) {
 func TestFollowerReciprocity(t *testing.T) {
 	p := DefaultFollower(2000, 3)
 	g := Follower(p)
-	r := ReciprocityOf(g)
+	r := reciprocityOf(g)
 	// Dedup and popularity collisions push measured reciprocity around
 	// the knob; it must land in a broad band around 0.22 and far from
 	// both extremes.
@@ -55,7 +55,7 @@ func TestFollowerReciprocity(t *testing.T) {
 		t.Fatalf("reciprocity %v outside plausible band", r)
 	}
 	p.Reciprocity = 0.9
-	high := ReciprocityOf(Follower(p))
+	high := reciprocityOf(Follower(p))
 	if high <= r {
 		t.Fatalf("raising the knob did not raise reciprocity: %v vs %v", high, r)
 	}
@@ -77,15 +77,32 @@ func TestFollowerDegenerate(t *testing.T) {
 }
 
 func TestReciprocityOfExtremes(t *testing.T) {
-	if ReciprocityOf(graph.Empty(3, true)) != 0 {
+	if reciprocityOf(graph.Empty(3, true)) != 0 {
 		t.Fatal("empty reciprocity != 0")
 	}
 	d, _ := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 0}}, graph.Options{Directed: true})
-	if ReciprocityOf(d) != 1 {
+	if reciprocityOf(d) != 1 {
 		t.Fatal("mutual pair reciprocity != 1")
 	}
 	one, _ := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}}, graph.Options{Directed: true})
-	if ReciprocityOf(one) != 0 {
+	if reciprocityOf(one) != 0 {
 		t.Fatal("one-way reciprocity != 0")
 	}
+}
+
+// reciprocityOf measures the fraction of arcs in a directed graph whose
+// reverse arc also exists.
+func reciprocityOf(g *graph.Graph) float64 {
+	if g.NumArcs() == 0 {
+		return 0
+	}
+	var mutual int64
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		for _, w := range g.Neighbors(v) {
+			if g.HasEdge(w, v) {
+				mutual++
+			}
+		}
+	}
+	return float64(mutual) / float64(g.NumArcs())
 }

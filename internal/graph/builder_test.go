@@ -4,7 +4,7 @@ package graph
 // and transform must produce the retired builders' rowPtr and adj byte for
 // byte (oracle_test.go). Weights are held to a brute-force spec instead —
 // first instance in input order — because the oracle's duplicate choice
-// was arbitrary and its Induced and Reverse dropped weights; the two must
+// was arbitrary and its Induced dropped weights; the two must
 // agree wherever the oracle's answer was well defined.
 
 import (
@@ -293,11 +293,6 @@ func checkTransforms(t *testing.T, what string, g *Graph) {
 
 	if g.directed {
 		sameCSR(t, what+" Undirected", g.Undirected(), oracleUndirected(g), true)
-		var rev []specArc
-		slot(func(u, v, w int32) { rev = append(rev, specArc{v, u, w, 0}) })
-		r := g.Reverse()
-		sameCSR(t, what+" Reverse", r, oracleReverse(g), !weighted)
-		sameCSR(t, what+" Reverse spec", r, specGraph(n, rev, true, weighted), true)
 	}
 
 	keep := make([]bool, n)

@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // ReorderKind selects a vertex relabeling strategy.
 type ReorderKind int
 
@@ -20,20 +18,9 @@ func (k ReorderKind) String() string {
 	return "none"
 }
 
-// ParseReorder parses a -reorder flag value.
-func ParseReorder(s string) (ReorderKind, error) {
-	switch s {
-	case "", "none":
-		return ReorderNone, nil
-	case "degree":
-		return ReorderDegree, nil
-	}
-	return ReorderNone, fmt.Errorf("graph: unknown reorder %q (want degree or none)", s)
-}
-
-// Layout is the load-time vertex order: which reordering cmd/graphctd and
-// the script runtime apply before serving a graph. The adjacency itself is
-// always raw sorted CSR.
+// Layout is a load-time vertex order. cmd/graphctd loads every graph file
+// in degree order; the script runtime's reorder command applies the same
+// relabeling. The adjacency itself is always raw sorted CSR.
 type Layout struct {
 	Reorder ReorderKind
 }

@@ -244,23 +244,6 @@ func oracleUndirected(g *Graph) *Graph {
 	return u
 }
 
-// oracleReverse is the retired Reverse. It returns the transpose of a
-// directed graph (in-neighbors become out-neighbors). For undirected graphs
-// it returns g.
-func oracleReverse(g *Graph) *Graph {
-	if !g.directed {
-		return g
-	}
-	edges := make([]Edge, 0, g.NumArcs())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(int32(v)) {
-			edges = append(edges, Edge{w, int32(v)})
-		}
-	}
-	r, _ := oracleFromEdges(g.NumVertices(), edges, Options{Directed: true, KeepSelfLoops: true, KeepDuplicates: true})
-	return r
-}
-
 // oracleInduced is the retired Induced. It extracts the subgraph on the
 // vertices with keep[v] == true, relabeling vertices densely. It returns the
 // subgraph and origID, where origID[new] is the vertex id in g. Edges with

@@ -173,18 +173,3 @@ func TestLayoutApplyPolicies(t *testing.T) {
 		t.Fatal("ReorderNone must be a no-op")
 	}
 }
-
-func TestParseFlags(t *testing.T) {
-	reorders := map[string]ReorderKind{"": ReorderNone, "none": ReorderNone, "degree": ReorderDegree}
-	for s, want := range reorders {
-		got, err := ParseReorder(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseReorder(%q) = %v, %v", s, got, err)
-		}
-	}
-	for _, s := range []string{"bfs", "hilbert"} {
-		if _, err := ParseReorder(s); err == nil {
-			t.Fatalf("unknown reorder %q accepted", s)
-		}
-	}
-}

@@ -32,18 +32,6 @@ func (g *Graph) UndirectedBuilds() int {
 	return int(g.undirectedBuilds.Load())
 }
 
-// Reverse returns the transpose of a directed graph (in-neighbors become
-// out-neighbors), weights following their arcs. For undirected graphs it
-// returns g.
-func (g *Graph) Reverse() *Graph {
-	if !g.directed {
-		return g
-	}
-	b := idBits(g.NumVertices())
-	keys := g.emitKeys(func(u, w int32) uint64 { return uint64(w)<<b | uint64(u) })
-	return build(g.NumVertices(), keys, g.weights, Options{Directed: true, KeepDuplicates: true, KeepSelfLoops: true})
-}
-
 // emitKeys packs every arc u->w of g as key(u, w), one key per CSR slot
 // (so g.weights stays aligned with the result), in parallel over rows.
 func (g *Graph) emitKeys(key func(u, w int32) uint64) []uint64 {

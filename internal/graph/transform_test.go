@@ -31,48 +31,6 @@ func TestUndirectedFromDirected(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	d, _ := FromEdges(3, []Edge{{0, 1}, {0, 2}, {2, 1}}, Options{Directed: true})
-	r := d.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 0) || !r.HasEdge(1, 2) {
-		t.Fatal("transpose arcs missing")
-	}
-	if r.NumArcs() != d.NumArcs() {
-		t.Fatalf("transpose arcs = %d, want %d", r.NumArcs(), d.NumArcs())
-	}
-	u := mustUndirected(t, 2, []Edge{{0, 1}})
-	if u.Reverse() != u {
-		t.Fatal("Reverse() of undirected graph should be identity")
-	}
-}
-
-func TestReverseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	edges := make([]Edge, 300)
-	for i := range edges {
-		edges[i] = Edge{int32(rng.Intn(50)), int32(rng.Intn(50))}
-	}
-	d, err := FromEdges(50, edges, Options{Directed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := d.Reverse().Reverse()
-	if rr.NumArcs() != d.NumArcs() {
-		t.Fatalf("double transpose arcs %d != %d", rr.NumArcs(), d.NumArcs())
-	}
-	for v := 0; v < 50; v++ {
-		a, b := d.Neighbors(int32(v)), rr.Neighbors(int32(v))
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d degree changed", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d adjacency changed", v)
-			}
-		}
-	}
-}
-
 func TestInduced(t *testing.T) {
 	g := mustUndirected(t, 4, testEdges())
 	sub, orig := g.Induced([]bool{true, true, true, false})
@@ -281,15 +239,6 @@ func TestDedupEdgesHelper(t *testing.T) {
 	out = oracleDedupEdges(edges, false)
 	if len(out) != 2 {
 		t.Fatalf("dedup directed kept %d, want 2", len(out))
-	}
-}
-
-func TestMaxVertexHelper(t *testing.T) {
-	if MaxVertex(nil) != 0 {
-		t.Fatal("MaxVertex(nil) != 0")
-	}
-	if MaxVertex([]Edge{{0, 5}, {3, 2}}) != 6 {
-		t.Fatal("MaxVertex wrong")
 	}
 }
 

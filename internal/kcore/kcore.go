@@ -76,18 +76,6 @@ func Decompose(g *graph.Graph) []int32 {
 	return deg
 }
 
-// MaxCore returns the degeneracy of g: the largest k with a non-empty
-// k-core.
-func MaxCore(g *graph.Graph) int32 {
-	var max int32
-	for _, c := range Decompose(g) {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // Extract returns the induced subgraph of vertices with core number >= k
 // together with their original ids — GraphCT's "extracting k-cores" kernel.
 func Extract(g *graph.Graph, k int32) (*graph.Graph, []int32) {

@@ -1,6 +1,7 @@
 package kcore
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -63,10 +64,10 @@ func TestDecomposeEmpty(t *testing.T) {
 }
 
 func TestMaxCore(t *testing.T) {
-	if MaxCore(gen.Complete(5)) != 4 {
+	if slices.Max(Decompose(gen.Complete(5))) != 4 {
 		t.Fatal("K5 degeneracy != 4")
 	}
-	if MaxCore(gen.BinaryTree(15)) != 1 {
+	if slices.Max(Decompose(gen.BinaryTree(15))) != 1 {
 		t.Fatal("tree degeneracy != 1")
 	}
 }

@@ -64,39 +64,12 @@ func New(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's distinct node names in insertion order. The
-// caller must not mutate the returned slice.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Get returns the node that owns key ("" for an empty ring).
 func (r *Ring) Get(key string) string {
 	if len(r.points) == 0 {
 		return ""
 	}
 	return r.nodes[r.points[r.search(key)].node]
-}
-
-// GetN returns up to n distinct nodes for key, starting with the owner
-// and continuing clockwise — the placement order for replicas of a
-// partition. n larger than the node count returns every node.
-func (r *Ring) GetN(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	out := make([]string, 0, n)
-	taken := make(map[int]bool, n)
-	for i, at := 0, r.search(key); len(out) < n && i < len(r.points); i++ {
-		p := r.points[(at+i)%len(r.points)]
-		if taken[p.node] {
-			continue
-		}
-		taken[p.node] = true
-		out = append(out, r.nodes[p.node])
-	}
-	return out
 }
 
 // search returns the index of the first point at or clockwise of key's

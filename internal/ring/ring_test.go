@@ -107,31 +107,6 @@ func TestMinimalMovementOnLeave(t *testing.T) {
 	}
 }
 
-// TestGetN returns the owner first, distinct nodes, and clamps at the
-// cluster size.
-func TestGetN(t *testing.T) {
-	r := New(workers(4), 0)
-	for _, k := range names(100, 4) {
-		got := r.GetN(k, 3)
-		if len(got) != 3 {
-			t.Fatalf("GetN(%q, 3) returned %d nodes", k, len(got))
-		}
-		if got[0] != r.Get(k) {
-			t.Fatalf("GetN(%q)[0] = %s, Get = %s", k, got[0], r.Get(k))
-		}
-		seen := map[string]bool{}
-		for _, w := range got {
-			if seen[w] {
-				t.Fatalf("GetN(%q) repeated %s", k, w)
-			}
-			seen[w] = true
-		}
-	}
-	if got := r.GetN("k", 10); len(got) != 4 {
-		t.Fatalf("GetN clamp: got %d nodes, want 4", len(got))
-	}
-}
-
 // TestDegenerate: empty rings answer harmlessly, duplicates collapse,
 // lookups are deterministic.
 func TestDegenerate(t *testing.T) {
@@ -139,12 +114,9 @@ func TestDegenerate(t *testing.T) {
 	if got := empty.Get("g"); got != "" {
 		t.Fatalf("empty ring Get = %q", got)
 	}
-	if got := empty.GetN("g", 2); got != nil {
-		t.Fatalf("empty ring GetN = %v", got)
-	}
 	dup := New([]string{"a", "a", "b"}, 16)
-	if len(dup.Nodes()) != 2 {
-		t.Fatalf("duplicate nodes not collapsed: %v", dup.Nodes())
+	if len(dup.nodes) != 2 {
+		t.Fatalf("duplicate nodes not collapsed: %v", dup.nodes)
 	}
 	r1, r2 := New(workers(3), 64), New(workers(3), 64)
 	for _, k := range names(500, 5) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"graphct/internal/gen"
@@ -41,7 +42,7 @@ func TestKCoresReplyMatchesExtract(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	for name, g := range map[string]*graph.Graph{"multi": multi, "reordered": reordered} {
-		maxCore := kcore.MaxCore(g)
+		maxCore := slices.Max(kcore.Decompose(g))
 		if maxCore < 3 {
 			t.Fatalf("%s: degeneracy %d leaves too few levels to pin", name, maxCore)
 		}

@@ -87,13 +87,6 @@ func (e *GraphEntry) Undirected() *graph.Graph {
 type Registry struct {
 	mu sync.RWMutex
 	m  map[string]*GraphEntry
-
-	// Layout is the vertex order applied to every graph loaded from a
-	// file (Load). Live graphs are exempt: each epoch is assembled by
-	// IncrementalCSR from rows in the ids clients ingest — clean rows
-	// copied from the previous epoch, dirty ones from the stream — so
-	// they stay in ingest order.
-	Layout graph.Layout
 }
 
 // NewRegistry returns an empty registry.
@@ -161,10 +154,11 @@ func isPerm(orig []int32) bool {
 }
 
 // Load reads a graph file in the given format ("dimacs", "edgelist" or
-// "binary"), applies the registry's layout (degree reordering when set),
-// and publishes it under name. When the layout
-// relabels, the entry carries the id translation so the relabeling stays
-// invisible at the API.
+// "binary"), relabels it degree-descending for cache locality (DESIGN
+// §10.1), and publishes it under name with the id translation, so the
+// relabeling stays invisible at the API. Live graphs are never relabeled:
+// each epoch is assembled by IncrementalCSR from rows in the ids clients
+// ingest, so they stay in ingest order.
 func (r *Registry) Load(name, format, path string, directed bool) (*GraphEntry, error) {
 	var g *graph.Graph
 	var err error
@@ -181,7 +175,7 @@ func (r *Registry) Load(name, format, path string, directed bool) (*GraphEntry, 
 	if err != nil {
 		return nil, err
 	}
-	g, inv, err := r.Layout.Apply(g)
+	g, inv, err := graph.Layout{Reorder: graph.ReorderDegree}.Apply(g)
 	if err != nil {
 		return nil, err
 	}

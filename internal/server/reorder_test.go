@@ -42,13 +42,12 @@ func TestRegistryLoadAppliesLayout(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	reg.Layout = graph.Layout{Reorder: graph.ReorderDegree}
 	e, err := reg.Load("g", "dimacs", path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Orig == nil {
-		t.Fatal("load with a reordering layout published no id translation")
+		t.Fatal("load published no id translation")
 	}
 	// The hub (external 3, degree 4) must now be internal vertex 0.
 	if e.ToInternal(3) != 0 || e.ToExternal(0) != 3 {

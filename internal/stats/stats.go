@@ -53,25 +53,6 @@ type HistogramBin struct {
 	Count  int64 // vertices whose degree falls in the range
 }
 
-// DegreeHistogram returns the exact histogram: one bin per occurring
-// degree, ascending.
-func DegreeHistogram(g *graph.Graph) []HistogramBin {
-	counts := make(map[int]int64)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(int32(v))]++
-	}
-	degrees := make([]int, 0, len(counts))
-	for d := range counts {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	bins := make([]HistogramBin, len(degrees))
-	for i, d := range degrees {
-		bins[i] = HistogramBin{Lo: d, Hi: d, Count: counts[d]}
-	}
-	return bins
-}
-
 // LogBinnedDegreeHistogram groups degrees into bins whose widths grow by
 // the given factor (> 1), the standard presentation of power-law degree
 // distributions on log-log axes (the paper's Fig. 2). Degree-0 vertices
@@ -122,37 +103,6 @@ func PowerLawAlpha(g *graph.Graph, dmin int) (alpha float64, used int) {
 		return 0, used
 	}
 	return 1 + float64(used)/logSum, used
-}
-
-// ComponentSizeHistogram log-bins a component-size census (sizes, one per
-// component) with the given growth factor — GraphCT's "statistical
-// distributions of ... component sizes" kernel output. Bins are
-// contiguous from size 1 up to the largest component.
-func ComponentSizeHistogram(sizes []int64, factor float64) []HistogramBin {
-	if factor <= 1 {
-		factor = 2
-	}
-	var maxSize int64 = 1
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
-	var bins []HistogramBin
-	lo := 1
-	for int64(lo) <= maxSize {
-		width := int(math.Ceil(float64(lo)*factor)) - lo
-		if width < 1 {
-			width = 1
-		}
-		bins = append(bins, HistogramBin{Lo: lo, Hi: lo + width - 1})
-		lo += width
-	}
-	for _, s := range sizes {
-		idx := sort.Search(len(bins), func(i int) bool { return int64(bins[i].Hi) >= s })
-		bins[idx].Count++
-	}
-	return bins
 }
 
 // GiniCoefficient measures degree concentration in [0,1]: 0 when all

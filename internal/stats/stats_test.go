@@ -36,16 +36,6 @@ func TestDegreesEmpty(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	bins := DegreeHistogram(gen.Star(6))
-	if len(bins) != 2 {
-		t.Fatalf("bins = %v", bins)
-	}
-	if bins[0].Lo != 1 || bins[0].Count != 5 || bins[1].Lo != 5 || bins[1].Count != 1 {
-		t.Fatalf("bins = %v", bins)
-	}
-}
-
 func TestLogBinnedHistogram(t *testing.T) {
 	g := gen.PreferentialAttachment(500, 2, 1)
 	bins := LogBinnedDegreeHistogram(g, 2)
@@ -152,33 +142,6 @@ func TestEstimateDiameterDefaults(t *testing.T) {
 	}
 }
 
-func TestComponentSizeHistogram(t *testing.T) {
-	sizes := []int64{1, 1, 1, 2, 3, 8, 100}
-	bins := ComponentSizeHistogram(sizes, 2)
-	var total int64
-	prevHi := 0
-	for _, b := range bins {
-		if b.Lo != prevHi+1 {
-			t.Fatalf("bins not contiguous: %v", bins)
-		}
-		prevHi = b.Hi
-		total += b.Count
-	}
-	if total != int64(len(sizes)) {
-		t.Fatalf("histogram total = %d", total)
-	}
-	if bins[0].Lo != 1 || bins[0].Count != 3 {
-		t.Fatalf("singleton bin wrong: %v", bins[0])
-	}
-	if bins[len(bins)-1].Hi < 100 {
-		t.Fatal("largest component not covered")
-	}
-	// Bad factor falls back.
-	if got := ComponentSizeHistogram([]int64{1}, 0); len(got) == 0 {
-		t.Fatal("factor fallback failed")
-	}
-}
-
 func TestExactDiameter(t *testing.T) {
 	if d := ExactDiameter(gen.Path(10)); d != 9 {
 		t.Fatalf("path diameter = %d", d)
@@ -229,14 +192,11 @@ func TestPropertyDiameterBounds(t *testing.T) {
 func TestPropertyHistogramPartition(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.ErdosRenyi(70, 150, seed)
-		var exact, logb int64
-		for _, b := range DegreeHistogram(g) {
-			exact += b.Count
-		}
+		var logb int64
 		for _, b := range LogBinnedDegreeHistogram(g, 2) {
 			logb += b.Count
 		}
-		return exact == 70 && logb == 70
+		return logb == 70
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestDifferentialReplay(t *testing.T) {
 			}
 			want := cluster.Coefficients(snap)
 			for v := int32(0); v < n; v++ {
-				if got := s.Coefficient(v); got != want[v] {
+				if got := coefficient(s, v); got != want[v] {
 					t.Fatalf("seed %d step %d: coefficient(%d) = %v, from scratch %v",
 						seed, i, v, got, want[v])
 				}

@@ -8,12 +8,12 @@
 // A Stream ingests timestamped interaction edges, keeps each vertex's
 // neighbors in one sorted, duplicate-free row (the packed per-vertex
 // array of STINGER and of NetworKit's dynamic graph), incrementally tracks
-// per-vertex triangle counts (so clustering coefficients are always
-// available in O(1)), and can materialize a CSR snapshot for the static
-// kernels at any point. Snapshots are incremental: each materialization
-// copies the adjacency of untouched vertices from the previous snapshot
-// and copies only the rows updates dirtied — already sorted — so
-// steady-state snapshot cost tracks the update rate, not the graph size.
+// per-vertex triangle counts (so transitivity needs no recount), and can
+// materialize a CSR snapshot for the static kernels at any point.
+// Snapshots are incremental: each materialization copies the adjacency of
+// untouched vertices from the previous snapshot and copies only the rows
+// updates dirtied — already sorted — so steady-state snapshot cost tracks
+// the update rate, not the graph size.
 //
 // Batches are the concurrency unit, as in the streaming paper: ApplyBatch
 // parallelizes one batch internally over vertex shards (see batch.go),
@@ -186,22 +186,6 @@ func (s *Stream) update(up Update, sign int64) (bool, error) {
 	return true, nil
 }
 
-// InsertBatch applies a batch of insertions one at a time, returning how
-// many were new edges. ApplyBatch is the parallel path.
-func (s *Stream) InsertBatch(batch []Update) (int, error) {
-	added := 0
-	for _, up := range batch {
-		ok, err := s.Insert(up)
-		if err != nil {
-			return added, err
-		}
-		if ok {
-			added++
-		}
-	}
-	return added, nil
-}
-
 func (s *Stream) check(u, v int32) error {
 	if u < 0 || int(u) >= s.n || v < 0 || int(v) >= s.n {
 		return fmt.Errorf("stream: edge (%d,%d) outside [0,%d)", u, v, s.n)
@@ -308,16 +292,6 @@ func (s *Stream) Triangles() []int64 {
 		out[v] = t / triScale
 	}
 	return out
-}
-
-// Coefficient returns v's current local clustering coefficient in O(1)
-// from the maintained triangle count.
-func (s *Stream) Coefficient(v int32) float64 {
-	d := int64(len(s.adj[v]))
-	if d < 2 {
-		return 0
-	}
-	return 2 * float64(s.tri6[v]/triScale) / float64(d*(d-1))
 }
 
 // GlobalCoefficient returns the current transitivity.

@@ -8,11 +8,9 @@ import (
 
 func ExampleMentions() {
 	fmt.Println(tweets.Mentions("RT @CDCFlu wash your hands! cc @EdMorrissey"))
-	fmt.Println(tweets.Hashtags("roads flooded downtown #atlflood #ATL"))
 	fmt.Println(tweets.IsRetweet("RT @ajc river cresting tonight"))
 	// Output:
 	// [cdcflu edmorrissey]
-	// [atlflood atl]
 	// true
 }
 

@@ -1,5 +1,5 @@
 // Package tweets models the paper's Twitter pipeline: tweets carrying
-// @mentions and #hashtags, a parser that extracts them, a builder that
+// @mentions, a parser that extracts them, a builder that
 // turns a tweet stream into the user-to-user interaction graph of Table
 // III, and a synthetic corpus generator substituting for the Spinn3r feed —
 // it emits the same structural mix the paper describes (broadcast trees,
@@ -17,7 +17,7 @@ type Tweet struct {
 	Week   int // ISO-ish week index, used by the volume analyses
 }
 
-// isHandleChar reports whether c may appear in a Twitter handle or hashtag.
+// isHandleChar reports whether c may appear in a Twitter handle.
 func isHandleChar(c byte) bool {
 	return c == '_' ||
 		(c >= 'a' && c <= 'z') ||
@@ -25,13 +25,13 @@ func isHandleChar(c byte) bool {
 		(c >= '0' && c <= '9')
 }
 
-// extract scans text for tokens introduced by the marker byte ('@' or '#'),
-// returning them lowercased without the marker. A marker must not be
-// preceded by a handle character (user@example does not mention "example").
-func extract(text string, marker byte) []string {
+// Mentions returns the handles mentioned in the text (lowercased, in
+// order, duplicates preserved). An '@' must not be preceded by a handle
+// character (user@example does not mention "example").
+func Mentions(text string) []string {
 	var out []string
 	for i := 0; i < len(text); i++ {
-		if text[i] != marker {
+		if text[i] != '@' {
 			continue
 		}
 		if i > 0 && isHandleChar(text[i-1]) {
@@ -48,13 +48,6 @@ func extract(text string, marker byte) []string {
 	}
 	return out
 }
-
-// Mentions returns the handles mentioned in the text (lowercased, in
-// order, duplicates preserved).
-func Mentions(text string) []string { return extract(text, '@') }
-
-// Hashtags returns the hashtags in the text (lowercased, without '#').
-func Hashtags(text string) []string { return extract(text, '#') }
 
 // IsRetweet reports whether the text follows the classic retweet
 // convention, "RT @user ...".

@@ -35,16 +35,6 @@ func TestMentions(t *testing.T) {
 	}
 }
 
-func TestHashtags(t *testing.T) {
-	got := Hashtags("flooding downtown #atlflood stay safe #ATL")
-	if len(got) != 2 || got[0] != "atlflood" || got[1] != "atl" {
-		t.Fatalf("Hashtags = %v", got)
-	}
-	if Hashtags("no tags") != nil {
-		t.Fatal("phantom hashtags")
-	}
-}
-
 func TestIsRetweet(t *testing.T) {
 	if !IsRetweet("RT @cnn big news") || !IsRetweet("  rt @cnn lower") {
 		t.Fatal("retweet not detected")

@@ -64,10 +64,9 @@ type Record struct {
 // Log is an open segment accepting appends. Callers serialize Append
 // calls (graphctd holds the live graph's writer lock across them).
 type Log struct {
-	f         *os.File
-	path      string
-	baseEpoch uint64
-	appends   int64
+	f       *os.File
+	path    string
+	appends int64
 }
 
 // Create creates (or truncates) a segment at path with the given base
@@ -92,7 +91,7 @@ func Create(path string, baseEpoch uint64) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l := &Log{f: f, path: path, baseEpoch: baseEpoch}
+	l := &Log{f: f, path: path}
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, err
@@ -102,9 +101,6 @@ func Create(path string, baseEpoch uint64) (*Log, error) {
 
 // Path returns the segment's file path.
 func (l *Log) Path() string { return l.path }
-
-// BaseEpoch returns the durable snapshot epoch this segment extends.
-func (l *Log) BaseEpoch() uint64 { return l.baseEpoch }
 
 // Appends returns how many records this Log has appended.
 func (l *Log) Appends() int64 { return l.appends }
