@@ -52,13 +52,12 @@ func Table3(cfg Config) []Table3Row {
 	for _, c := range cfg.corpora() {
 		ug := harvest(c.Opts)
 		lwcc, _ := cc.Largest(ug.Graph)
-		users, inter := tweets.SubgraphStats(lwcc)
 		row := Table3Row{
 			Name:                   c.Name,
 			Users:                  ug.Stats.Users,
-			UsersLWCC:              users,
+			UsersLWCC:              lwcc.NumVertices(),
 			UniqueInteractions:     ug.Stats.UniqueInteractions,
-			UniqueInteractionsLWCC: inter,
+			UniqueInteractionsLWCC: lwcc.NumArcs(),
 			TweetsWithResponses:    ug.Stats.TweetsWithMentions,
 			Tweets:                 ug.Stats.Tweets,
 		}

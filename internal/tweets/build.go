@@ -2,7 +2,6 @@ package tweets
 
 import (
 	"sort"
-	"strings"
 
 	"graphct/internal/graph"
 )
@@ -24,69 +23,68 @@ type GraphStats struct {
 type UserGraph struct {
 	Graph *graph.Graph // directed mention graph
 	Names []string     // vertex id -> handle
-	IDs   map[string]int32
 	Stats GraphStats
+	ids   *handleIndex // lower-cased handle -> vertex id, behind Lookup
 }
 
 // Build constructs the user-interaction graph of a tweet stream. Handles
-// are case-insensitive. Self mentions are counted in Stats but excluded
-// from the graph (they carry no brokerage information and would perturb
-// the path-based kernels).
+// are case-insensitive, and a user's vertex id is the order of its first
+// appearance (author before the handles its tweet mentions). Self mentions
+// are counted in Stats but excluded from the graph (they carry no
+// brokerage information and would perturb the path-based kernels).
+//
+// Each text is scanned once, and its mention spans are looked up as they
+// stand (see handleIndex); a new handle is lowered as it is copied into
+// the index's arena. A tweet allocates nothing unless its author holds a
+// byte >= 0x80.
 func Build(ts []Tweet) *UserGraph {
-	ids := make(map[string]int32)
-	var names []string
-	intern := func(handle string) int32 {
-		h := strings.ToLower(handle)
-		if id, ok := ids[h]; ok {
-			return id
-		}
-		id := int32(len(names))
-		ids[h] = id
-		names = append(names, h)
-		return id
-	}
-	var edges []graph.Edge
+	ids := newHandleIndex(len(ts))
+	edges := make([]graph.Edge, 0, len(ts))
 	st := GraphStats{Tweets: len(ts)}
 	for _, t := range ts {
-		author := intern(t.Author)
-		mentions := Mentions(t.Text)
-		if len(mentions) > 0 {
-			st.TweetsWithMentions++
-		}
+		author := ids.intern(foldKey(t.Author))
 		if IsRetweet(t.Text) {
 			st.Retweets++
 		}
-		self := false
-		for _, m := range mentions {
-			target := intern(m)
-			if target == author {
-				self = true
-				continue
+		mentioned, self := false, false
+		for i := 0; ; {
+			lo, hi, h := nextMention(t.Text, i)
+			if lo < 0 {
+				break
 			}
-			edges = append(edges, graph.Edge{U: author, V: target})
+			mentioned = true
+			if target := ids.intern(t.Text[lo:hi], h); target == author {
+				self = true
+			} else {
+				edges = append(edges, graph.Edge{U: author, V: target})
+			}
+			i = hi
+		}
+		if mentioned {
+			st.TweetsWithMentions++
 		}
 		if self {
 			st.SelfReferences++
 		}
 	}
-	g, err := graph.FromEdges(len(names), edges, graph.Options{Directed: true})
+	ids.seal()
+	g, err := graph.FromEdges(len(ids.names), edges, graph.Options{Directed: true})
 	if err != nil {
 		panic("tweets: interned ids out of range: " + err.Error())
 	}
-	st.Users = len(names)
+	st.Users = len(ids.names)
 	st.UniqueInteractions = g.NumArcs()
-	return &UserGraph{Graph: g, Names: names, IDs: ids, Stats: st}
+	return &UserGraph{Graph: g, Names: ids.names, Stats: st, ids: ids}
 }
 
 // Undirected returns the undirected projection used by the path-based
 // kernels.
 func (ug *UserGraph) Undirected() *graph.Graph { return ug.Graph.Undirected() }
 
-// Lookup returns the vertex for a handle (case-insensitive) and whether it
-// exists.
+// Lookup returns the vertex for a handle (case-insensitive, as
+// strings.ToLower folds it) and whether it exists.
 func (ug *UserGraph) Lookup(handle string) (int32, bool) {
-	id, ok := ug.IDs[strings.ToLower(handle)]
-	return id, ok
+	return ug.ids.find(foldKey(handle))
 }
 
 // Handles maps a vertex list (e.g. a centrality top-k) back to handles.
@@ -96,14 +94,6 @@ func (ug *UserGraph) Handles(vs []int32) []string {
 		out[i] = ug.Names[v]
 	}
 	return out
-}
-
-// SubgraphStats recomputes Table III's user/interaction counts for a
-// subgraph given the subgraph and its orig-id mapping (e.g. the LWCC):
-// users with any incident edge plus isolated vertices are all counted, as
-// vertices exist only where interactions did.
-func SubgraphStats(sub *graph.Graph) (users int, interactions int64) {
-	return sub.NumVertices(), sub.NumArcs()
 }
 
 // MentionCounts returns, per vertex, how many distinct users it mentions

@@ -30,23 +30,40 @@ func isHandleChar(c byte) bool {
 // character (user@example does not mention "example").
 func Mentions(text string) []string {
 	var out []string
-	for i := 0; i < len(text); i++ {
-		if text[i] != '@' {
-			continue
+	for i := 0; ; {
+		lo, hi, _ := nextMention(text, i)
+		if lo < 0 {
+			return out
 		}
-		if i > 0 && isHandleChar(text[i-1]) {
-			continue
-		}
-		j := i + 1
-		for j < len(text) && isHandleChar(text[j]) {
-			j++
-		}
-		if j > i+1 {
-			out = append(out, strings.ToLower(text[i+1:j]))
-		}
-		i = j - 1
+		out = append(out, strings.ToLower(text[lo:hi]))
+		i = hi
 	}
-	return out
+}
+
+// nextMention finds the first mention in text[i:] and returns its handle's
+// span text[lo:hi] with the hash foldKey gives it, or lo = -1 when there
+// is none. A mention is an '@' not preceded by a handle character and
+// followed by at least one.
+func nextMention(text string, i int) (lo, hi int, h uint32) {
+	for {
+		at := strings.IndexByte(text[i:], '@')
+		if at < 0 {
+			return -1, -1, 0
+		}
+		at += i
+		i = at + 1
+		if at > 0 && isHandleChar(text[at-1]) {
+			continue
+		}
+		h = fnvOffset
+		j := i
+		for ; j < len(text) && isHandleChar(text[j]); j++ {
+			h = (h ^ uint32(lowerByte(text[j]))) * fnvPrime
+		}
+		if j > i {
+			return i, j, h
+		}
+	}
 }
 
 // IsRetweet reports whether the text follows the classic retweet
@@ -56,26 +73,26 @@ func IsRetweet(text string) bool {
 	return len(t) >= 4 && (strings.HasPrefix(t, "RT @") || strings.HasPrefix(t, "rt @"))
 }
 
-// HasKeyword reports whether the text contains any of the keywords,
-// case-insensitively. Keywords are matched as substrings, as a stream
-// harvest would ("flu" matches "#swineflu").
-func HasKeyword(text string, keywords []string) bool {
-	lower := strings.ToLower(text)
+// FilterKeyword returns the tweets whose text contains any of the
+// keywords, case-insensitively (as strings.ToLower folds both), modeling
+// the paper's keyword harvests (flu, h1n1, #atlflood, ...). Keywords are
+// matched as substrings, as a stream harvest would ("flu" matches
+// "#swineflu"); an empty keyword matches nothing.
+func FilterKeyword(ts []Tweet, keywords []string) []Tweet {
+	lower := make([]string, 0, len(keywords))
 	for _, k := range keywords {
-		if k != "" && strings.Contains(lower, strings.ToLower(k)) {
-			return true
+		if k != "" {
+			lower = append(lower, strings.ToLower(k))
 		}
 	}
-	return false
-}
-
-// FilterKeyword returns the tweets whose text contains any keyword,
-// modeling the paper's keyword harvests (flu, h1n1, #atlflood, ...).
-func FilterKeyword(ts []Tweet, keywords []string) []Tweet {
 	var out []Tweet
 	for _, t := range ts {
-		if HasKeyword(t.Text, keywords) {
-			out = append(out, t)
+		text := strings.ToLower(t.Text)
+		for _, k := range lower {
+			if strings.Contains(text, k) {
+				out = append(out, t)
+				break
+			}
 		}
 	}
 	return out

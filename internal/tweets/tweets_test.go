@@ -54,7 +54,7 @@ func TestHasKeywordAndFilter(t *testing.T) {
 	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
 		t.Fatalf("FilterKeyword = %v", got)
 	}
-	if HasKeyword("anything", []string{""}) {
+	if got := FilterKeyword(ts, []string{""}); len(got) != 0 {
 		t.Fatal("empty keyword matched")
 	}
 }
@@ -175,7 +175,7 @@ func TestGenerateMix(t *testing.T) {
 		default:
 			plain++
 		}
-		if !HasKeyword(tw.Text, []string{"h1n1"}) {
+		if len(FilterKeyword([]Tweet{tw}, []string{"h1n1"})) == 0 {
 			t.Fatalf("off-topic tweet %q", tw.Text)
 		}
 		if tw.Week < 36 || tw.Week > 39 {
