@@ -10,8 +10,10 @@ import (
 	"graphct/internal/graph"
 )
 
-// requireOracle holds Decompose to the round-scan oracle exactly, and Size
-// to Extract's counts for every k from 0 to one past the degeneracy.
+// requireOracle holds Decompose to the round-scan oracle exactly, and the
+// profile to both Size and Extract's counts for every k from 0 to two past
+// the degeneracy: one past it is the profile's last row, two past it is
+// clamped to that row.
 func requireOracle(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	core := Decompose(g)
@@ -22,11 +24,18 @@ func requireOracle(t *testing.T, g *graph.Graph) {
 	for _, c := range core {
 		maxCore = max(maxCore, c)
 	}
-	for k := int32(0); k <= maxCore+1; k++ {
+	p := NewProfile(g, core)
+	if len(p.Vertices) != int(maxCore)+2 || len(p.Edges) != int(maxCore)+2 {
+		t.Fatalf("profile has %d, %d rows; degeneracy %d", len(p.Vertices), len(p.Edges), maxCore)
+	}
+	for k := int32(0); k <= maxCore+2; k++ {
 		sub, _ := Extract(g, k)
 		v, e := Size(g, core, k)
 		if v != sub.NumVertices() || e != sub.NumEdges() {
 			t.Fatalf("k=%d: Size = %d vertices, %d edges; Extract %d, %d", k, v, e, sub.NumVertices(), sub.NumEdges())
+		}
+		if pv, pe := p.At(int(k)); pv != v || pe != e {
+			t.Fatalf("k=%d: profile = %d vertices, %d edges; Size %d, %d", k, pv, pe, v, e)
 		}
 	}
 }
@@ -94,7 +103,7 @@ func TestDecomposeMatchesOracle(t *testing.T) {
 
 // FuzzDecompose turns bytes into a small graph — a vertex count, a flags
 // byte choosing directed, self loops and repeats, then edge endpoints — and
-// holds Decompose to the oracle and Size to Extract.
+// holds Decompose to the oracle and the profile to Size and Extract.
 func FuzzDecompose(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 1, 1, 2, 2, 0, 2, 3, 3, 4, 4, 5, 5, 3})
 	f.Add([]byte{12, 6, 0, 1, 0, 1, 1, 1, 1, 2, 2, 0, 3, 0, 4, 5, 6, 7, 8, 8, 9, 10})

@@ -85,17 +85,30 @@ func Extract(g *graph.Graph, k int32) (*graph.Graph, []int32) {
 	return g.Induced(keep)
 }
 
-// Size returns the vertex and edge counts Extract(g, k) would report —
-// NumVertices and NumEdges of the k-core it builds — without building it.
-// core is Decompose(g). As in Induced, repeated arcs count once; as in
-// NumEdges, a directed g counts its arcs and an undirected one its edges
-// with a self loop counted once.
-func Size(g *graph.Graph, core []int32, k int32) (vertices int, edges int64) {
-	vertices = int(par.Count(len(core), func(v int) bool { return core[v] >= k }))
-	edges = par.ReduceSum(len(core), func(v int) int64 {
-		if core[v] < k {
-			return 0
-		}
+// Profile holds the size of every k-core of a graph at once: the k-core
+// has Vertices[k] vertices and Edges[k] edges, for k from 0 to one past
+// the degeneracy, the first k whose core is empty. It is O(degeneracy)
+// memory.
+type Profile struct {
+	Vertices []int
+	Edges    []int64
+}
+
+// NewProfile counts every k-core's vertices and edges in one O(n + m) pass;
+// core is Decompose(g). The counts are those of the subgraph Extract(g, k)
+// builds. A vertex lies in the k-cores for k <= core[v], an edge {v, w} in
+// those for k <= min(core[v], core[w]), so each count is a suffix sum of a
+// histogram. As in Induced, repeated arcs count once; as in NumEdges, a
+// directed g counts its own arcs and an undirected one its edges, with a
+// self loop counted once.
+func NewProfile(g *graph.Graph, core []int32) Profile {
+	var maxCore int32
+	for _, c := range core {
+		maxCore = max(maxCore, c)
+	}
+	p := Profile{Vertices: make([]int, maxCore+2), Edges: make([]int64, maxCore+2)}
+	for v, cv := range core {
+		p.Vertices[cv]++
 		row := g.Neighbors(int32(v))
 		if !g.Directed() {
 			// Each undirected edge {v, w} is counted from its lower end,
@@ -103,15 +116,24 @@ func Size(g *graph.Graph, core []int32, k int32) (vertices int, edges int64) {
 			lo, _ := slices.BinarySearch(row, int32(v))
 			row = row[lo:]
 		}
-		var kept int64
 		last := int32(-1)
 		for _, w := range row {
-			if w != last && core[w] >= k {
-				kept++
+			if w != last {
+				p.Edges[min(cv, core[w])]++
 			}
 			last = w
 		}
-		return kept
-	})
-	return vertices, edges
+	}
+	for k := maxCore; k >= 0; k-- {
+		p.Vertices[k] += p.Vertices[k+1]
+		p.Edges[k] += p.Edges[k+1]
+	}
+	return p
+}
+
+// At returns the k-core's vertex and edge counts. A k past the table's end
+// has an empty core.
+func (p Profile) At(k int) (vertices int, edges int64) {
+	k = min(k, len(p.Vertices)-1)
+	return p.Vertices[k], p.Edges[k]
 }

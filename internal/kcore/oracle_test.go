@@ -2,9 +2,11 @@ package kcore
 
 // The round-scan peeling Decompose shipped before the O(n + m) kernel,
 // kept verbatim — renamed — as the differential oracle for
-// oracle_equiv_test.go and FuzzDecompose.
+// equiv_test.go and FuzzDecompose; and Size, the per-k count the server
+// ran before NewProfile, kept as the reference for the profile.
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"graphct/internal/graph"
@@ -57,4 +59,35 @@ func oracleDecompose(g *graph.Graph) []int32 {
 		}
 	}
 	return core
+}
+
+// Size returns the vertex and edge counts Extract(g, k) would report —
+// NumVertices and NumEdges of the k-core it builds — without building it.
+// core is Decompose(g). As in Induced, repeated arcs count once; as in
+// NumEdges, a directed g counts its arcs and an undirected one its edges
+// with a self loop counted once.
+func Size(g *graph.Graph, core []int32, k int32) (vertices int, edges int64) {
+	vertices = int(par.Count(len(core), func(v int) bool { return core[v] >= k }))
+	edges = par.ReduceSum(len(core), func(v int) int64 {
+		if core[v] < k {
+			return 0
+		}
+		row := g.Neighbors(int32(v))
+		if !g.Directed() {
+			// Each undirected edge {v, w} is counted from its lower end,
+			// a self loop from its own row.
+			lo, _ := slices.BinarySearch(row, int32(v))
+			row = row[lo:]
+		}
+		var kept int64
+		last := int32(-1)
+		for _, w := range row {
+			if w != last && core[w] >= k {
+				kept++
+			}
+			last = w
+		}
+		return kept
+	})
+	return vertices, edges
 }

@@ -11,7 +11,6 @@ import (
 	"graphct/internal/bc"
 	"graphct/internal/core"
 	"graphct/internal/failpoint"
-	"graphct/internal/kcore"
 	"graphct/internal/sssp"
 	"graphct/internal/stats"
 )
@@ -77,9 +76,13 @@ func (s *Server) parseKernel(kernel string, e *GraphEntry, q url.Values) (string
 			return "", nil, fmt.Errorf("bad k %q", q.Get("k"))
 		}
 		return fmt.Sprintf("k=%d", k), func(ctx context.Context) (any, error) {
-			// The reply is the k-core's size only, so it is counted from
-			// the core numbers instead of built.
-			vertices, edges := kcore.Size(g, kcore.Decompose(g), int32(k))
+			// The reply is the k-core's size only, read from the epoch's
+			// profile: the first kcores request on the entry builds it.
+			p, built := e.kcoreProfile()
+			if built {
+				s.metrics.KCoreProfiles.Add(1)
+			}
+			vertices, edges := p.At(k)
 			return map[string]any{"k": k, "vertices": vertices, "edges": edges}, nil
 		}, nil
 	case "kcentrality":

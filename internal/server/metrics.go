@@ -77,6 +77,8 @@ type Metrics struct {
 	Rejected  counter `json:"rejected"`  // 429s from the admission queue
 	Canceled  counter `json:"canceled"`  // kernels stopped by deadline/cancellation
 
+	KCoreProfiles counter `json:"kcore_profiles"` // k-core profiles built: one per epoch that served kcores
+
 	KernelPanics    counter `json:"kernel_panics"`     // kernel panics isolated by recover (500, not a crash)
 	BreakerRejected counter `json:"breaker_rejected"`  // 503s from open circuit breakers
 	StaleServed     counter `json:"stale_served"`      // rejected requests answered from the stale cache

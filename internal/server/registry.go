@@ -8,6 +8,7 @@ import (
 
 	"graphct/internal/dimacs"
 	"graphct/internal/graph"
+	"graphct/internal/kcore"
 )
 
 // epochCounter hands out globally unique graph epochs. Cache keys embed
@@ -52,6 +53,13 @@ type GraphEntry struct {
 	// perm is the eager inverse of Orig (perm[external] = internal),
 	// built once at publish time for O(1) inbound translation.
 	perm []int32
+
+	// kcores is the epoch's k-core profile, nil until the first kcores
+	// request builds it (see kcoreProfile).
+	kcores struct {
+		sync.Mutex
+		p *kcore.Profile
+	}
 }
 
 // ToExternal translates an internal vertex id to the client-visible id.
@@ -79,6 +87,25 @@ func (e *GraphEntry) ToInternal(v int32) int32 {
 // the stale view along with the stale cache keys.
 func (e *GraphEntry) Undirected() *graph.Graph {
 	return e.Graph.Undirected()
+}
+
+// kcoreProfile returns the entry's k-core profile, and whether this call
+// built it. The first call builds it in one O(n + m) pass and keeps only
+// the profile, O(degeneracy) memory, not the core numbers; concurrent
+// callers wait for that build. The memo lives on the entry, never on the
+// graph: registering the same *graph.Graph again publishes a new entry, and
+// its first kcores request peels the graph again, as a reload's would. A
+// build that panics stores nothing, so the panic reaches the request's
+// isolation and the next request builds afresh.
+func (e *GraphEntry) kcoreProfile() (kcore.Profile, bool) {
+	e.kcores.Lock()
+	defer e.kcores.Unlock()
+	if e.kcores.p != nil {
+		return *e.kcores.p, false
+	}
+	p := kcore.NewProfile(e.Graph, kcore.Decompose(e.Graph))
+	e.kcores.p = &p
+	return p, true
 }
 
 // Registry maps names to in-memory CSR graphs. All methods are safe for

@@ -477,7 +477,7 @@ func TestMetricsWireContract(t *testing.T) {
 		t.Fatalf("metrics JSON: %v in %s", err, body)
 	}
 	numbers := []string{
-		"requests", "cache_hits", "cache_misses", "coalesced", "rejected", "canceled",
+		"requests", "cache_hits", "cache_misses", "coalesced", "rejected", "canceled", "kcore_profiles",
 		"queue_depth", "running", "cache_bytes", "cache_items",
 		"kernel_panics", "breaker_rejected", "breaker_trips", "stale_served",
 		"cache_put_dropped", "rate_limited", "cache_oversized", "rate_limit_clients",
