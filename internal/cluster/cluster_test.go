@@ -7,7 +7,6 @@ import (
 
 	"graphct/internal/gen"
 	"graphct/internal/graph"
-	"graphct/internal/tweets"
 )
 
 func TestTrianglesComplete(t *testing.T) {
@@ -135,25 +134,5 @@ func TestPropertyCoefficientRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkTrianglesRMAT12(b *testing.B) {
-	g := gen.RMAT(gen.PaperRMAT(12, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Triangles(g)
-	}
-}
-
-// BenchmarkTrianglesTweets is the other shape the pipeline feeds the
-// kernel: the mention graph of a generated tweet corpus, a few hundred
-// broadcast hubs over shallow trees, where almost every arc touches a hub.
-func BenchmarkTrianglesTweets(b *testing.B) {
-	corpus := tweets.Generate(tweets.Sept1Corpus(0.05, 1))
-	g := tweets.Build(tweets.FilterSpam(corpus, 0)).Graph.Undirected()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Triangles(g)
 	}
 }

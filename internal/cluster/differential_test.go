@@ -54,6 +54,27 @@ func shapes(t *testing.T) []shape {
 	// Six live vertices among sixty.
 	sparse := []graph.Edge{{U: 3, V: 17}, {U: 17, V: 40}, {U: 40, V: 3}, {U: 40, V: 59}, {U: 59, V: 8}, {U: 8, V: 40}}
 
+	// Bitmap word edges, n = 201 (not a multiple of 64). Vertex 1 ties in
+	// degree with a clique on the 66 multiples of 3 below 200 and has the
+	// lowest id, so its oriented row is the whole clique, one hub row over
+	// all four words. Vertex 200 (degree 5) has oriented row 62..66, across
+	// the first word boundary, and closes seven triangles there; 62, 64 and
+	// 65 also reach clique members in later words that are not in that row.
+	var words []graph.Edge
+	for u := int32(3); u < 200; u += 3 {
+		words = append(words, graph.Edge{U: 1, V: u})
+		for v := u + 3; v < 200; v += 3 {
+			words = append(words, graph.Edge{U: u, V: v})
+		}
+	}
+	for u := int32(62); u <= 66; u++ {
+		words = append(words, graph.Edge{U: 200, V: u})
+	}
+	words = append(words, []graph.Edge{{U: 62, V: 63}, {U: 63, V: 64}, {U: 64, V: 65}, {U: 65, V: 66}, {U: 62, V: 64}, {U: 63, V: 65}}...)
+	for _, u := range []int32{62, 64, 65} {
+		words = append(words, graph.Edge{U: u, V: 69}, graph.Edge{U: u, V: 129}, graph.Edge{U: u, V: 195})
+	}
+
 	rng := rand.New(rand.NewSource(7))
 	randomEdges := func(n, m int) []graph.Edge {
 		es := make([]graph.Edge, m)
@@ -76,6 +97,7 @@ func shapes(t *testing.T) []shape {
 		plain("path-10k", gen.Path(10000)),
 		plain("400-components", gen.Disjoint(tiny...)),
 		plain("isolated", build(t, 60, sparse, graph.Options{})),
+		plain("word-edges", build(t, 201, words, graph.Options{})),
 		{"multigraph", build(t, 120, multi, graph.Options{KeepSelfLoops: true, KeepDuplicates: true}), build(t, 120, multi, graph.Options{})},
 		plain("directed", build(t, 150, arcs, graph.Options{Directed: true})),
 		plain("rmat-12", gen.RMAT(gen.PaperRMAT(12, 3))),
@@ -110,52 +132,142 @@ func layouts(t *testing.T, g *graph.Graph) []layout {
 	return out
 }
 
-// TestForwardMatchesReferences is the exactness contract: on every shape,
-// layout and worker count the kernel returns the integers of the retained
-// per-arc kernel (and of the cubic brute force where that is affordable),
-// and the triangles, coefficients and transitivity stream.FromGraph
-// maintains for the same input — compared with ==, since both sides do one
-// final division of the same integers.
-func TestForwardMatchesReferences(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, sh := range shapes(t) {
-		want := cluster.OracleTriangles(sh.simple)
-		var sum int64
-		for _, c := range want {
-			sum += c
-		}
-		if sh.simple.NumVertices() <= 200 {
-			for v, c := range cluster.BruteTriangles(sh.simple.Undirected()) {
-				if c != want[v] {
-					t.Fatalf("%s: oracle tri[%d] = %d, brute force %d", sh.name, v, want[v], c)
-				}
+// simpleDegrees returns each vertex's number of distinct non-self
+// neighbours in the undirected projection of g.
+func simpleDegrees(g *graph.Graph) []int64 {
+	u := g.Undirected()
+	deg := make([]int64, u.NumVertices())
+	for v := range deg {
+		prev := int32(-1)
+		for _, w := range u.Neighbors(int32(v)) {
+			if w != prev && w != int32(v) {
+				deg[v]++
 			}
+			prev = w
 		}
-		for _, l := range layouts(t, sh.g) {
-			st := stream.FromGraph(l.g)
-			stTri := st.Triangles()
-			for _, procs := range []int{1, 2, 4} {
-				runtime.GOMAXPROCS(procs)
-				id := fmt.Sprintf("%s/%s/P=%d", sh.name, l.name, procs)
-				tri, coef := cluster.Triangles(l.g), cluster.Coefficients(l.g)
-				for v, nv := range l.perm {
-					if tri[nv] != want[v] {
-						t.Fatalf("%s: tri[%d] = %d, oracle %d", id, v, tri[nv], want[v])
-					}
-					var stCoef float64
-					if d := int64(st.Degree(nv)); d >= 2 {
-						stCoef = 2 * float64(stTri[nv]) / float64(d*(d-1))
-					}
-					if tri[nv] != stTri[nv] || coef[nv] != stCoef {
-						t.Fatalf("%s: vertex %d: tri %d coef %v, stream %d %v", id, v, tri[nv], coef[nv], stTri[nv], stCoef)
-					}
-				}
-				if got := cluster.Global(l.g); got != st.GlobalCoefficient() {
-					t.Fatalf("%s: Global = %v, stream %v", id, got, st.GlobalCoefficient())
-				}
+	}
+	return deg
+}
+
+// expected is what every entry point must return on one input, derived
+// from the oracle's triangle counts and the simple degrees with the one
+// final division each of them does: tri[v]/C(d,2) per vertex, and
+// Σ tri / wedges (that is, 3 · triangles / wedges) for the transitivity.
+type expected struct {
+	tri    []int64
+	coef   []float64
+	global float64
+}
+
+func expect(tri, deg []int64) expected {
+	e := expected{tri: tri, coef: make([]float64, len(tri))}
+	var closed, wedges int64
+	for v, d := range deg {
+		if d >= 2 {
+			e.coef[v] = 2 * float64(tri[v]) / float64(d*(d-1))
+		}
+		closed += tri[v]
+		wedges += d * (d - 1) / 2
+	}
+	if wedges > 0 {
+		e.global = float64(closed) / float64(wedges)
+	}
+	return e
+}
+
+// requireExpected runs Triangles, Coefficients and Global on g, whose
+// vertex perm[v] is the reference's vertex v, and compares each with ==.
+func requireExpected(t *testing.T, id string, g *graph.Graph, perm []int32, want expected) {
+	t.Helper()
+	tri, coef := cluster.Triangles(g), cluster.Coefficients(g)
+	for v, nv := range perm {
+		if tri[nv] != want.tri[v] || coef[nv] != want.coef[v] {
+			t.Fatalf("%s: vertex %d: tri %d coef %v, oracle %d %v", id, v, tri[nv], coef[nv], want.tri[v], want.coef[v])
+		}
+	}
+	if got := cluster.Global(g); got != want.global {
+		t.Fatalf("%s: Global = %v, oracle %v", id, got, want.global)
+	}
+}
+
+// oracle returns the reference values on simple, a graph without repeated
+// arcs: the per-arc kernel's integers, checked against the retired merge
+// kernel's and, where that is affordable, a cubic brute force.
+func oracle(t *testing.T, name string, simple *graph.Graph) expected {
+	t.Helper()
+	want := cluster.OracleTriangles(simple)
+	merged, _ := cluster.MergeForward(simple)
+	for v, c := range merged {
+		if c != want[v] {
+			t.Fatalf("%s: merge kernel tri[%d] = %d, per-arc oracle %d", name, v, c, want[v])
+		}
+	}
+	if simple.NumVertices() <= 200 {
+		for v, c := range cluster.BruteTriangles(simple.Undirected()) {
+			if c != want[v] {
+				t.Fatalf("%s: oracle tri[%d] = %d, brute force %d", name, v, want[v], c)
 			}
 		}
 	}
+	return expect(want, simpleDegrees(simple))
+}
+
+// TestForwardMatchesReferences is the exactness contract: on every shape,
+// layout and worker count the kernel returns the integers of the retained
+// kernels, and coefficients and transitivity equal to those computed from
+// them — and to the values stream.FromGraph maintains for the same input —
+// compared with ==, since every side does one final division of the same
+// integers.
+func TestForwardMatchesReferences(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, sh := range shapes(t) {
+		want := oracle(t, sh.name, sh.simple)
+		for _, l := range layouts(t, sh.g) {
+			st := stream.FromGraph(l.g)
+			stTri := st.Triangles()
+			for v, nv := range l.perm {
+				var stCoef float64
+				if d := int64(st.Degree(nv)); d >= 2 {
+					stCoef = 2 * float64(stTri[nv]) / float64(d*(d-1))
+				}
+				if stTri[nv] != want.tri[v] || stCoef != want.coef[v] {
+					t.Fatalf("%s/%s: vertex %d: stream tri %d coef %v, oracle %d %v", sh.name, l.name, v, stTri[nv], stCoef, want.tri[v], want.coef[v])
+				}
+			}
+			if got := st.GlobalCoefficient(); got != want.global {
+				t.Fatalf("%s/%s: stream transitivity %v, oracle %v", sh.name, l.name, got, want.global)
+			}
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				requireExpected(t, fmt.Sprintf("%s/%s/P=%d", sh.name, l.name, procs), l.g, l.perm, want)
+			}
+		}
+	}
+}
+
+// FuzzTrianglesMatchOracle turns bytes into a small multigraph — a vertex
+// count up to 256, so rows cross bitmap words; a flags byte choosing
+// directed; then arc endpoints, self loops and repeats kept — and holds
+// Triangles, Coefficients and Global to the oracle on its simple graph.
+func FuzzTrianglesMatchOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])
+		directed := data[1]&1 != 0
+		var edges []graph.Edge
+		for i := 2; i+1 < len(data); i += 2 {
+			edges = append(edges, graph.Edge{U: int32(int(data[i]) % n), V: int32(int(data[i+1]) % n)})
+		}
+		g := build(t, n, edges, graph.Options{Directed: directed, KeepSelfLoops: true, KeepDuplicates: true})
+		simple := build(t, n, edges, graph.Options{Directed: directed})
+		identity := make([]int32, n)
+		for v := range identity {
+			identity[v] = int32(v)
+		}
+		requireExpected(t, "fuzz", g, identity, oracle(t, "fuzz", simple))
+	})
 }
 
 // TestMultigraphIsItsSimpleGraph pins the definition on the smallest case:

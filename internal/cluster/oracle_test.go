@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sync/atomic"
+
 	"graphct/internal/graph"
 	"graphct/internal/par"
 )
@@ -55,10 +57,69 @@ func oracleIntersectCount(a, b []int32, v, w int32) int64 {
 	return count
 }
 
+// mergeForward is the forward kernel this package shipped before marked
+// intersection, kept verbatim as the second differential oracle: same
+// orientation, but each triangle is found by a two-pointer merge of out[v]
+// with out[w]. It counts triangles per vertex on the simple undirected
+// graph under g and returns them with each vertex's simple degree.
+func mergeForward(g *graph.Graph) (tri []int64, deg []int32) {
+	if g.Directed() {
+		g = g.Undirected()
+	}
+	n := g.NumVertices()
+	off, out, deg := orient(g)
+
+	// A triangle is found from its lowest-ranked corner v through its
+	// middle corner w, the third corner x being the common element, and
+	// credited to all three in the worker's private stripe.
+	// Workers claim few vertices at a time, so the long oriented rows a
+	// skewed graph still has spread over them.
+	const chunk = 64
+	workers := par.Workers()
+	stripes := make([][]int64, workers)
+	var next atomic.Int64
+	par.ForWorkers(workers, func(worker, _ int) {
+		t := make([]int64, n)
+		stripes[worker] = t
+		for {
+			lo := int(next.Add(chunk)) - chunk
+			if lo >= n {
+				return
+			}
+			for v := lo; v < min(lo+chunk, n); v++ {
+				a := out[off[v]:off[v+1]]
+				for _, w := range a {
+					b := out[off[w]:off[w+1]]
+					var found int64
+					for i, j := 0, 0; i < len(a) && j < len(b); {
+						switch x, y := a[i], b[j]; {
+						case x < y:
+							i++
+						case x > y:
+							j++
+						default:
+							t[x]++
+							found++
+							i++
+							j++
+						}
+					}
+					t[v] += found
+					t[w] += found
+				}
+			}
+		}
+	})
+	tri = stripes[0]
+	par.SumSlices(tri, stripes[1:])
+	return tri, deg
+}
+
 // The differential suite lives in the external test package — it compares
 // against internal/stream, which imports this package — and reaches the
-// two references through these names.
+// references through these names.
 var (
 	OracleTriangles = oracleTriangles
 	BruteTriangles  = bruteTriangles
+	MergeForward    = mergeForward
 )

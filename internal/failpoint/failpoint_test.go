@@ -10,17 +10,17 @@ import (
 
 func TestArmSpecParsing(t *testing.T) {
 	for _, bad := range []string{
-		"",                      // no name
-		"=error",                // empty name
-		"p",                     // no action
-		"p=explode",             // unknown action
-		"p=delay",               // delay without duration
-		"p=delay(soon)",         // unparseable duration
-		"p=error*0",             // zero budget
-		"p=error*-1",            // negative budget
-		"p=error%0",             // zero probability
-		"p=error%101",           // probability > 100
-		"p=error*2%x",           // bad probability
+		"",              // no name
+		"=error",        // empty name
+		"p",             // no action
+		"p=explode",     // unknown action
+		"p=delay",       // delay without duration
+		"p=delay(soon)", // unparseable duration
+		"p=error*0",     // zero budget
+		"p=error*-1",    // negative budget
+		"p=error%0",     // zero probability
+		"p=error%101",   // probability > 100
+		"p=error*2%x",   // bad probability
 		"p=error(msg)*2%10 junk",
 	} {
 		r := NewRegistry()
