@@ -22,10 +22,15 @@
 // pattern turns the high-centrality hubs of a scale-free graph into
 // white-hot contended cache lines. Each in-flight source therefore
 // accumulates into a private stripe and the stripes are merged once by a
-// parallel tree reduction. A stripe is 8·n bytes beside the 32·n bytes of
-// per-source scratch the slot needs anyway. The Brandes forward sweeps are
-// direction-optimized (Beamer top-down/bottom-up, thresholds shared with
-// internal/bfs) so hub-dominated levels stop scanning the whole edge list.
+// parallel tree reduction. A stripe is 8·n bytes beside the 40·n bytes of
+// per-source scratch the slot needs anyway. Both Brandes sweeps are
+// direction-optimized. The forward sweep picks top-down or bottom-up per
+// level (Beamer, thresholds shared with internal/bfs), so hub-dominated
+// levels stop scanning the whole edge list. The backward sweep picks per
+// level between pulling over the level's own rows and pushing from the
+// next-deeper level's rows, whichever reads fewer arcs; both add each
+// vertex's successor terms in ascending id, so a source's dependencies are
+// bit-identical to the pull-only sweep's either way.
 package bc
 
 import (

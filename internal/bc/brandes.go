@@ -1,6 +1,9 @@
 package bc
 
 import (
+	"math/bits"
+	"slices"
+
 	"graphct/internal/bfs"
 	"graphct/internal/graph"
 )
@@ -23,7 +26,11 @@ type workspace struct {
 	sigTot     []float64 // per-vertex total short-path count (k > 0 only)
 	order      []int32   // visitation order of the last search
 	levelStart []int     // offsets into order where each BFS level begins
+	levelArcs  []int64   // arcs in each level's rows
+	levelAsc   []bool    // level found bottom-up, so its order segment is ascending
+	acc        []float64 // push accumulators of the backward sweep (k = 0 only)
 	bottomUps  int       // levels discovered pull-style; survives reset (test sentinel)
+	backArcs   int64     // arcs the backward sweeps read; survives reset (test and bench probe)
 	// pend[v] counts the pendants folded into v (fold.go); nil on an
 	// unfolded graph. It is shared read-only by every slot of a run.
 	pend []float64
@@ -43,35 +50,54 @@ func newWorkspace(g *graph.Graph, k int) *workspace {
 	for i := range ws.dist {
 		ws.dist[i] = -1
 	}
+	if k == 0 {
+		ws.acc = make([]float64, n)
+	}
 	return ws
 }
 
-// reset clears the entries touched by the last search.
+// reset clears the entries touched by the last search: vertex by vertex,
+// or, when the search reached more than half the graph, by clearing the
+// dense arrays whole, which streams instead of scattering (a quarter of
+// the time on a connected component; DESIGN §5).
 func (ws *workspace) reset() {
-	stride := ws.k + 1
-	for _, v := range ws.order {
-		ws.dist[v] = -1
-		base := int(v) * stride
-		for j := 0; j < stride; j++ {
-			ws.sigma[base+j] = 0
-			ws.delta[base+j] = 0
+	if 2*len(ws.order) > ws.n {
+		for i := range ws.dist {
+			ws.dist[i] = -1
 		}
-		if ws.sigTot != nil {
+		clear(ws.sigma)
+		clear(ws.delta)
+		clear(ws.sigTot)
+		clear(ws.acc)
+	} else {
+		stride := ws.k + 1
+		for _, v := range ws.order {
+			ws.dist[v] = -1
+			base := int(v) * stride
+			for j := 0; j < stride; j++ {
+				ws.sigma[base+j] = 0
+				ws.delta[base+j] = 0
+			}
 			ws.sigTot[v] = 0
+			if ws.acc != nil {
+				ws.acc[v] = 0
+			}
 		}
 	}
 	ws.order = ws.order[:0]
 	ws.levelStart = ws.levelStart[:0]
+	ws.levelArcs = ws.levelArcs[:0]
+	ws.levelAsc = ws.levelAsc[:0]
 }
 
 // brandesSource runs one source's forward and backward sweeps,
 // accumulating scaled dependency contributions into sink.
 //
-// The backward sweep pulls dependencies from successors in sorted
-// adjacency order, so the resulting scores are bit-identical whichever
-// forward strategy discovered each level — the property the test against
-// the top-down oracle pins down. (Path counts are integer-valued, so
-// forward summation order cannot perturb them either.)
+// The backward sweep sums each vertex's successor terms in ascending id
+// whichever direction it takes, so the resulting scores are bit-identical
+// whichever forward strategy discovered each level — the property the
+// test against the top-down oracle pins down. (Path counts are
+// integer-valued, so forward summation order cannot perturb them either.)
 //
 // On a folded graph the sweep from s also stands for sink.leaf's drawn
 // pendants of s: a pendant's own sweep would be this one shifted a level
@@ -86,7 +112,8 @@ func brandesSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 }
 
 // forwardSweep labels dist and sigma from s and records the visitation
-// order and level offsets. It is level-synchronous and
+// order, level offsets, each level's row arcs and whether its order
+// segment is ascending. It is level-synchronous and
 // direction-optimizing: each level runs top-down (push from the
 // frontier) or bottom-up (every unvisited vertex pulls path counts
 // straight from the frontier-sigma array) by the Beamer thresholds shared
@@ -100,6 +127,7 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 	ws.sigma[s] = 1
 	ws.order = append(ws.order, s)
 	ws.levelStart = append(ws.levelStart, 0)
+	ws.levelAsc = append(ws.levelAsc, true)
 	frontier := ws.order[0:1]
 	n := int64(g.NumVertices())
 	remaining := g.NumArcs()
@@ -109,8 +137,10 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 			frontierEdges += int64(g.Degree(u))
 		}
 		remaining -= frontierEdges
+		ws.levelArcs = append(ws.levelArcs, frontierEdges)
 		frontierEnd := len(ws.order)
-		if frontierEdges > remaining/bfs.HybridAlpha && int64(len(frontier)) > n/bfs.HybridBeta {
+		up := frontierEdges > remaining/bfs.HybridAlpha && int64(len(frontier)) > n/bfs.HybridBeta
+		if up {
 			ws.bottomUpLevel(g, frontier)
 		} else {
 			ws.topDownLevel(g, frontier)
@@ -119,6 +149,7 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 			break
 		}
 		ws.levelStart = append(ws.levelStart, frontierEnd)
+		ws.levelAsc = append(ws.levelAsc, up)
 		frontier = ws.order[frontierEnd:]
 	}
 }
@@ -145,7 +176,7 @@ func (ws *workspace) topDownLevel(g *graph.Graph, frontier []int32) {
 // bottomUpLevel discovers the next level pull-style: every unvisited
 // vertex scans its own adjacency and sums frontier path counts in one
 // shot. O(unvisited-vertex edges), which on hub levels is far less than
-// the frontier's out-edges.
+// the frontier's out-edges. It discovers the level in ascending id.
 //
 // Frontier membership is encoded in the values themselves: fsig holds
 // sigma[u] for frontier vertices and 0 everywhere else, so the inner loop
@@ -183,22 +214,36 @@ func (ws *workspace) bottomUpLevel(g *graph.Graph, frontier []int32) {
 	}
 }
 
-// backwardSweep evaluates the Brandes dependency recurrence pull-style,
-// deepest level first: delta[v] = sigma[v] · Σ (1+delta[w])/sigma[w] over
-// v's successors w in sorted adjacency order. Pulling makes each vertex
-// the only writer of its own delta entry and fixes the floating-point
-// summation order independently of visitation order.
+// backwardSweep evaluates the Brandes dependency recurrence
+// delta[v] = sigma[v] · Σ (1+delta[w])/sigma[w] over v's successors w,
+// deepest level first. The successor term (1+delta[w])/sigma[w] is
+// materialized into coef[w] once per vertex; ws.sigTot is dead in the
+// k = 0 path and hosts coef without a new allocation. Each level i takes
+// whichever direction reads fewer arcs:
 //
-// The successor term (1+delta[w])/sigma[w] is materialized into coef[w]
-// once per vertex, and the level structure makes the successor test
-// itself free: a neighbor of a level-li vertex can only live on levels
-// li-1, li or li+1, so if coef is populated for strictly deeper levels
-// only — each level's coefficients are published in a second pass, after
-// every delta of that level is computed — then coef[w] is nonzero exactly
-// for successors and zero otherwise (unset levels and unreached vertices
-// read as the cleared 0). The inner loop is one load and one add per
-// edge: no dist read, no branch, no divide. ws.sigTot is dead in the
-// k=0 path and hosts coef without a new allocation.
+//   - pull: each v on level i sums coef[w] over its own row;
+//   - push: each w on level i+1, in ascending id, adds coef[w] into the
+//     accumulator of every neighbour, and each v on level i reads its own.
+//
+// Pull reads level i's rows, push level i+1's, plus the cost of sorting
+// level i+1 when the forward sweep found it top-down, in discovery order:
+// |level|·log2|level|, in arcs. A pushed arc costs about what a pulled one
+// does (DESIGN §5), so the rule compares the counts as they are. On
+// scale-free graphs the hub levels are far wider in arcs than the level
+// below them, and pushing from there reads a third of the arcs pulling
+// does.
+//
+// Both directions sum the same nonzero terms in the same order, so the
+// scores do not depend on the choice. A neighbour of a level-i vertex
+// lives on level i-1, i or i+1, and coef is published for strictly deeper
+// levels only — each level's coefficients after every delta of that level
+// is computed — so pull's row sum adds coef[w] for successors in
+// ascending id and +0.0 for everything else, which leaves a sum unchanged.
+// Push adds the same successor terms, ascending because level i+1 is
+// walked in ascending id, and adds nothing else into level i: only pushes
+// from level i+1 write its accumulators before it reads them, and pushes
+// into levels i+1 and i+2 land in accumulators already read. Repeated
+// arcs add their term twice, adjacently, either way.
 //
 // On a folded graph each of v's pendants is one more successor, with
 // sigma[v] paths and no dependency of its own, so it adds exactly 1 to
@@ -206,19 +251,43 @@ func (ws *workspace) bottomUpLevel(g *graph.Graph, frontier []int32) {
 // the unfolded graph, pendants included.
 func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) (reached float64) {
 	sigma, delta, pend := ws.sigma, ws.delta, ws.pend
-	coef := ws.sigTot
+	coef, acc := ws.sigTot, ws.acc
 	reached = float64(len(ws.order))
-	for li := len(ws.levelStart) - 1; li >= 0; li-- {
+	levels := len(ws.levelStart)
+	hi, below := len(ws.order), len(ws.order)
+	for li := levels - 1; li >= 0; li-- {
 		lo := ws.levelStart[li]
-		hi := len(ws.order)
-		if li+1 < len(ws.levelStart) {
-			hi = ws.levelStart[li+1]
+		lvl, next := ws.order[lo:hi], ws.order[hi:below]
+		hi, below = lo, hi
+		read, push := ws.levelArcs[li], false
+		if li+1 < levels {
+			cost := ws.levelArcs[li+1]
+			if !ws.levelAsc[li+1] {
+				cost += int64(len(next) * bits.Len(uint(len(next))))
+			}
+			push = cost < read
 		}
-		lvl := ws.order[lo:hi]
+		if push {
+			if !ws.levelAsc[li+1] {
+				slices.Sort(next)
+			}
+			for _, w := range next {
+				c := coef[w]
+				for _, x := range g.Neighbors(w) {
+					acc[x] += c
+				}
+			}
+			read = ws.levelArcs[li+1]
+		}
+		ws.backArcs += read
 		for _, v := range lvl {
 			var dsum float64
-			for _, w := range g.Neighbors(v) {
-				dsum += coef[w]
+			if push {
+				dsum = acc[v]
+			} else {
+				for _, w := range g.Neighbors(v) {
+					dsum += coef[w]
+				}
 			}
 			dsum *= sigma[v]
 			if pend != nil {
@@ -231,7 +300,7 @@ func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) (reac
 			}
 		}
 		// Publish this level's coefficients only now: during the pass
-		// above, same-level neighbors must still read coef == 0.
+		// above, same-level neighbours must still read coef == 0.
 		for _, v := range lvl {
 			coef[v] = (1 + delta[v]) / sigma[v]
 		}

@@ -241,7 +241,8 @@ func TestFoldRule(t *testing.T) {
 // FuzzFoldedCentrality turns bytes into a small multigraph — self loops,
 // repeated arcs, pendants and K2s come naturally at this density — plus a
 // sample count, seed and strategy, and holds the forced fold to the
-// unfolded oracle.
+// unfolded oracle, and the unfolded kernel, one source at a time, to the
+// pull sweep's scores with ==.
 func FuzzFoldedCentrality(f *testing.F) {
 	f.Add([]byte{9, 0, 1, 0, 0, 1, 1, 2, 2, 3, 3, 3, 4, 5, 4, 6, 7, 8})
 	f.Add([]byte{12, 5, 9, 2, 0, 1, 0, 1, 1, 2, 2, 0, 3, 0, 4, 5, 6, 7, 8, 8, 9, 10, 9, 11})
@@ -266,6 +267,14 @@ func FuzzFoldedCentrality(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := unfoldedCentrality(g, opt)
+		// The unfolded kernel, one source at a time, is the pull sweep's
+		// run to the bit.
+		_, _, scale := drawSources(g, opt)
+		for v, x := range pullFor(g, want.Sources, scale) {
+			if want.Scores[v] != x {
+				t.Fatalf("unfolded v=%d: %v, want pull's bit-identical %v", v, want.Scores[v], x)
+			}
+		}
 		opt.Concurrency = 2
 		got := Centrality(g, opt)
 		if !slices.Equal(got.Sources, want.Sources) {

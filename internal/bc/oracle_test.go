@@ -1,18 +1,23 @@
 package bc
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"graphct/internal/cc"
 	"graphct/internal/gen"
 	"graphct/internal/graph"
 	"graphct/internal/testutil"
+	"graphct/internal/tweets"
 )
 
-// topDownCentrality is the sweep this package shipped before the forward
-// sweep became direction-optimizing: every level pushed from the frontier,
-// sources one after another into one score array. It is kept as the
-// reference the hybrid sweep is compared against.
+// topDownCentrality is the sweep this package shipped before either sweep
+// became direction-optimizing: every forward level pushed from the
+// frontier, every backward level pulled, sources one after another into
+// one score array. It is kept as the reference the hybrid sweeps are
+// compared against.
 func topDownCentrality(g *graph.Graph) []float64 {
 	n := g.NumVertices()
 	ws := newWorkspace(g, 0)
@@ -30,10 +35,70 @@ func topDownCentrality(g *graph.Graph) []float64 {
 			}
 			lo = hi
 		}
-		backwardSweep(g, s, ws, sink)
+		pullBackwardSweep(g, s, ws, sink)
 		ws.reset()
 	}
 	return sink.local
+}
+
+// pullBackwardSweep evaluates the Brandes dependency recurrence pull-style,
+// deepest level first: delta[v] = sigma[v] · Σ (1+delta[w])/sigma[w] over
+// v's successors w in sorted adjacency order. Pulling makes each vertex
+// the only writer of its own delta entry and fixes the floating-point
+// summation order independently of visitation order.
+//
+// The successor term (1+delta[w])/sigma[w] is materialized into coef[w]
+// once per vertex, and the level structure makes the successor test
+// itself free: a neighbor of a level-li vertex can only live on levels
+// li-1, li or li+1, so if coef is populated for strictly deeper levels
+// only — each level's coefficients are published in a second pass, after
+// every delta of that level is computed — then coef[w] is nonzero exactly
+// for successors and zero otherwise (unset levels and unreached vertices
+// read as the cleared 0). The inner loop is one load and one add per
+// edge: no dist read, no branch, no divide. ws.sigTot is dead in the
+// k=0 path and hosts coef without a new allocation.
+//
+// On a folded graph each of v's pendants is one more successor, with
+// sigma[v] paths and no dependency of its own, so it adds exactly 1 to
+// delta[v]: pend[v] in all. The sweep returns the vertices s reaches in
+// the unfolded graph, pendants included.
+//
+// It is the backward sweep this package shipped before that sweep became
+// direction-optimizing, kept verbatim as the oracle backwardSweep must
+// match to the bit.
+func pullBackwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) (reached float64) {
+	sigma, delta, pend := ws.sigma, ws.delta, ws.pend
+	coef := ws.sigTot
+	reached = float64(len(ws.order))
+	for li := len(ws.levelStart) - 1; li >= 0; li-- {
+		lo := ws.levelStart[li]
+		hi := len(ws.order)
+		if li+1 < len(ws.levelStart) {
+			hi = ws.levelStart[li+1]
+		}
+		lvl := ws.order[lo:hi]
+		for _, v := range lvl {
+			var dsum float64
+			for _, w := range g.Neighbors(v) {
+				dsum += coef[w]
+			}
+			dsum *= sigma[v]
+			if pend != nil {
+				dsum += pend[v]
+				reached += pend[v]
+			}
+			delta[v] = dsum
+			if v != s {
+				sink.add(v, dsum)
+			}
+		}
+		// Publish this level's coefficients only now: during the pass
+		// above, same-level neighbors must still read coef == 0.
+		for _, v := range lvl {
+			coef[v] = (1 + delta[v]) / sigma[v]
+		}
+	}
+	return reached
 }
 
 // unfoldedFor is the k = 0 path before pendant folding: every source swept
@@ -41,10 +106,30 @@ func topDownCentrality(g *graph.Graph) []float64 {
 // It is the reference the folded run is compared against; with one source
 // in flight the unfolded driver matches it to the bit.
 func unfoldedFor(g *graph.Graph, sources []int32, scale float64) []float64 {
+	return sweepEach(g, sources, scale, brandesSource)
+}
+
+// pullFor is unfoldedFor with every backward level pulled.
+func pullFor(g *graph.Graph, sources []int32, scale float64) []float64 {
+	return sweepEach(g, sources, scale, pullSource)
+}
+
+// pullSource is brandesSource with pullBackwardSweep.
+func pullSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
+	defer ws.reset()
+	ws.forwardSweep(g, s)
+	if reached := pullBackwardSweep(g, s, ws, sink); sink.leaf != 0 {
+		sink.local[s] += sink.leaf * (reached - 2)
+	}
+}
+
+// sweepEach runs source on every source in the order given, one after
+// another on one workspace into one score array.
+func sweepEach(g *graph.Graph, sources []int32, scale float64, source func(*graph.Graph, int32, *workspace, scoreSink)) []float64 {
 	ws := newWorkspace(g, 0)
 	sink := scoreSink{local: make([]float64, g.NumVertices()), scale: scale}
 	for _, s := range sources {
-		brandesSource(g, s, ws, sink)
+		source(g, s, ws, sink)
 	}
 	return sink.local
 }
@@ -151,5 +236,203 @@ func TestHybridSweepTakesBottomUpLevels(t *testing.T) {
 	// survives reset.
 	if ws.bottomUps == 0 {
 		t.Fatal("no level ran bottom-up on a dense graph; thresholds broken?")
+	}
+}
+
+// requireBackwardMatchesPull sweeps every source of g (every sixteenth
+// under -race) forward twice, once into backwardSweep and once into
+// pullBackwardSweep, each on its own workspace and score stripe, and fails
+// unless after each source the reach, every reached vertex's delta and the
+// two stripes agree with ==. pend, if not nil, is a fold's pendant counts
+// on g.
+func requireBackwardMatchesPull(t *testing.T, g *graph.Graph, pend []float64) {
+	t.Helper()
+	n := g.NumVertices()
+	got, want := newWorkspace(g, 0), newWorkspace(g, 0)
+	got.pend, want.pend = pend, pend
+	gotSink := scoreSink{local: make([]float64, n), scale: 3}
+	wantSink := scoreSink{local: make([]float64, n), scale: 3}
+	step := int32(1)
+	if raceEnabled {
+		step = 16
+	}
+	for s := int32(0); int(s) < n; s += step {
+		got.forwardSweep(g, s)
+		want.forwardSweep(g, s)
+		gotReach := backwardSweep(g, s, got, gotSink)
+		wantReach := pullBackwardSweep(g, s, want, wantSink)
+		if gotReach != wantReach {
+			t.Fatalf("source %d: reached %v, pull %v", s, gotReach, wantReach)
+		}
+		for _, v := range want.order {
+			if got.delta[v] != want.delta[v] {
+				t.Fatalf("source %d: delta[%d] = %v, pull %v", s, v, got.delta[v], want.delta[v])
+			}
+		}
+		// Only reached entries of a stripe move in a backward sweep.
+		for _, v := range want.order {
+			if gotSink.local[v] != wantSink.local[v] {
+				t.Fatalf("source %d: stripe[%d] = %v, pull %v", s, v, gotSink.local[v], wantSink.local[v])
+			}
+		}
+		got.reset()
+		want.reset()
+	}
+}
+
+// requireRunMatchesPull runs Centrality on g, which must take one source
+// at a time, and fails unless its scores equal with == the same run's
+// through pullSource: folded, if the fold rule folds it, else unfolded.
+func requireRunMatchesPull(t *testing.T, g *graph.Graph, opt Options) {
+	t.Helper()
+	sources, _, scale := drawSources(g, opt)
+	var want []float64
+	if f := planFold(g, sources); f != nil {
+		scores, err := runSources(context.Background(), f.core.NumVertices(), f.sweeps, scale, 1, func() sourceKernel {
+			ws := newWorkspace(f.core, 0)
+			ws.pend = f.pend
+			return func(s int32, sink scoreSink) { pullSource(f.core, s, ws, sink) }
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = f.expand(scores)
+	} else {
+		want = pullFor(g, sources, scale)
+	}
+	got := Centrality(g, opt).Scores
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("v=%d: %v, want bit-identical %v", v, got[v], want[v])
+		}
+	}
+}
+
+// wideThenNarrow is built so the backward sweep pushes from a level the
+// forward sweep found top-down, out of id order: from vertex 0, a dense
+// level of 60 vertices, then 40 vertices each under 2–8 random parents of
+// it, then 200 leaves under one or two of those; 1,700 isolated vertices
+// keep every frontier under n/β, so every level runs top-down. Pushing
+// that level unsorted sums a parent's terms out of order.
+func wideThenNarrow(t testing.TB, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	var edges []graph.Edge
+	for u := int32(1); u <= 60; u++ {
+		edges = append(edges, graph.Edge{U: 0, V: u})
+		for v := u + 1; v <= 60; v++ {
+			if rng.Intn(2) == 0 {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+	}
+	for w := int32(61); w <= 100; w++ {
+		for range 2 + rng.Intn(7) {
+			edges = append(edges, graph.Edge{U: 1 + int32(rng.Intn(60)), V: w})
+		}
+	}
+	for x := int32(101); x <= 300; x++ {
+		for range 1 + rng.Intn(2) {
+			edges = append(edges, graph.Edge{U: 61 + int32(rng.Intn(40)), V: x})
+		}
+	}
+	return mustEdges(t, 2000, edges, graph.Options{})
+}
+
+// septComponent is the largest component of the undirected Sept-1 mention
+// graph at the given corpus scale.
+func septComponent(scale float64) *graph.Graph {
+	mentions := tweets.Build(tweets.FilterSpam(tweets.Generate(tweets.Sept1Corpus(scale, 1)), 0))
+	g, _ := cc.Largest(mentions.Undirected())
+	return g
+}
+
+// TestBackwardSweepMatchesPull holds the direction-optimizing backward
+// sweep to the pull sweep it replaced, to the bit, source by source: on
+// the adversarial shapes, a shape whose pushed level is unsorted, 50
+// seeded random graphs, the degree-ordered R-MAT 12 and the Sept-1 tweet
+// component, unfolded and folded. Then, on the last two, whole runs at one
+// source in flight, exact and sampled, folded and not: the kernel's
+// scores equal the pull sweep's with ==.
+func TestBackwardSweepMatchesPull(t *testing.T) {
+	for name, g := range adversarialShapes(t) {
+		t.Run(name, func(t *testing.T) { requireBackwardMatchesPull(t, g, nil) })
+	}
+	t.Run("wide-then-narrow", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			requireBackwardMatchesPull(t, wideThenNarrow(t, seed), nil)
+		}
+	})
+	t.Run("erdos-renyi", func(t *testing.T) {
+		for seed := int64(1); seed <= 50; seed++ {
+			requireBackwardMatchesPull(t, gen.ErdosRenyi(400, 2400, seed), nil)
+		}
+	})
+	rmat, _, err := graph.Layout{Reorder: graph.ReorderDegree}.Apply(gen.RMAT(gen.PaperRMAT(12, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sept := septComponent(0.01)
+	t.Run("rmat12-degree", func(t *testing.T) { requireBackwardMatchesPull(t, rmat, nil) })
+	t.Run("sept-unfolded", func(t *testing.T) { requireBackwardMatchesPull(t, sept, nil) })
+	t.Run("sept-folded", func(t *testing.T) {
+		f := planFold(sept, sampleSources(sept.NumVertices(), 0, 0))
+		if f == nil {
+			t.Fatal("fold declined on the tweet component")
+		}
+		requireBackwardMatchesPull(t, f.core, f.pend)
+	})
+
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		samples int
+		force   bool
+		folds   bool
+	}{
+		{"rmat12-degree", rmat, 0, false, true},
+		{"rmat12-degree", rmat, 64, false, false},
+		{"rmat12-degree", rmat, 64, true, true},
+		{"sept", sept, 64, false, true},
+		{"sept", sept, 512, false, true},
+	} {
+		t.Run(fmt.Sprintf("run-%s-samples=%d-force=%v", c.name, c.samples, c.force), func(t *testing.T) {
+			if raceEnabled && c.samples == 0 {
+				t.Skip("exact run under -race")
+			}
+			if c.force {
+				forceFold(t)
+			}
+			opt := Options{Samples: c.samples, Seed: 5, Concurrency: 1}
+			if sources, _, _ := drawSources(c.g, opt); (planFold(c.g, sources) != nil) != c.folds {
+				t.Fatalf("fold %v, want %v", !c.folds, c.folds)
+			}
+			requireRunMatchesPull(t, c.g, opt)
+		})
+	}
+}
+
+// TestBackwardSweepPushesHubLevels guards against the backward sweep
+// silently degrading to pulling every level (which would pass the
+// equivalence tests while losing the optimization): on the degree-ordered
+// R-MAT 12, sweeps from its hubs must read at most half the arcs of the
+// rows they reach.
+func TestBackwardSweepPushesHubLevels(t *testing.T) {
+	g, _, err := graph.Layout{Reorder: graph.ReorderDegree}.Apply(gen.RMAT(gen.PaperRMAT(12, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := newWorkspace(g, 0)
+	sink := scoreSink{local: make([]float64, g.NumVertices()), scale: 1}
+	var rows int64
+	for s := int32(0); s < 16; s++ {
+		ws.forwardSweep(g, s)
+		for _, v := range ws.order {
+			rows += int64(g.Degree(v))
+		}
+		backwardSweep(g, s, ws, sink)
+		ws.reset()
+	}
+	if 2*ws.backArcs > rows {
+		t.Fatalf("backward sweeps read %d of %d row arcs; hub levels not pushed?", ws.backArcs, rows)
 	}
 }

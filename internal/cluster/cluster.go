@@ -23,12 +23,13 @@
 // encoding.
 //
 // Transient memory per call is the oriented adjacency (4 bytes per
-// undirected edge plus 8·(n+1) of offsets), 4·n of simple degrees and an
-// n/8-byte bitmap per worker. Triangles and Coefficients add one 8·n
-// stripe of corner credits per worker; Global needs only the total, so
-// each worker keeps one running sum. The orientation pass is about a sixth
-// to a quarter of the kernel on the R-MAT pipeline graphs and about half
-// on the tweet mention graph (DESIGN §6.4).
+// undirected edge plus 8·(n+1) of offsets, and as much again in the
+// workers' buffers until it is copied into place), 4·n of simple degrees
+// and an n/8-byte bitmap per worker. Triangles and Coefficients add one
+// 8·n stripe of corner credits per worker; Global needs only the total,
+// so each worker keeps one running sum. The orientation pass is about an
+// eighth to a fifth of the kernel on the R-MAT pipeline graphs and two
+// fifths on the tweet mention graph (DESIGN §6.4).
 package cluster
 
 import (
@@ -62,23 +63,42 @@ func orient(g *graph.Graph) (off []int64, out []int32, deg []int32) {
 		}
 		return dst, d
 	}
+	// One walk: workers claim chunks of vertices and append each chunk's
+	// rows to their own buffer, noting where; the copy into out waits for
+	// the offsets. A worker's buffer is sized for an even share of the
+	// oriented arcs (at most half the arcs) and grows only past it.
+	const chunk = 256
+	chunks := (n + chunk - 1) / chunk
 	deg = make([]int32, n)
 	off = make([]int64, n+1)
-	par.ForChunked(n, 256, func(lo, hi int) {
-		var row []int32
-		for v := lo; v < hi; v++ {
-			row, deg[v] = appendHigher(row[:0], int32(v))
-			off[v+1] = int64(len(row))
+	owner := make([]int32, chunks) // worker whose buffer holds the chunk's rows
+	at := make([]int64, chunks)    // where they start in it
+	workers := min(par.Workers(), max(1, chunks))
+	bufs := make([][]int32, workers)
+	var next atomic.Int64
+	par.ForWorkers(workers, func(worker, _ int) {
+		buf := make([]int32, 0, g.NumArcs()/int64(2*workers)+chunk)
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= chunks {
+				break
+			}
+			owner[c], at[c] = int32(worker), int64(len(buf))
+			for v := c * chunk; v < min(c*chunk+chunk, n); v++ {
+				start := len(buf)
+				buf, deg[v] = appendHigher(buf, int32(v))
+				off[v+1] = int64(len(buf) - start)
+			}
 		}
+		bufs[worker] = buf
 	})
 	for v := 0; v < n; v++ {
 		off[v+1] += off[v]
 	}
 	out = make([]int32, off[n])
-	par.ForChunked(n, 256, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			appendHigher(out[off[v]:off[v]:off[v+1]], int32(v))
-		}
+	par.For(chunks, func(c int) {
+		lo, hi := off[c*chunk], off[min(c*chunk+chunk, n)]
+		copy(out[lo:hi], bufs[owner[c]][at[c]:])
 	})
 	return off, out, deg
 }
