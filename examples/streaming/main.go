@@ -1,8 +1,9 @@
 // Streaming and temporal analysis: the paper's Section V direction. The
-// synthetic H1N1 stream is replayed week by week; the streaming substrate
-// maintains clustering coefficients incrementally as mention edges arrive,
-// and the temporal package tracks how the interaction graph and its most
-// central actors evolve across the crisis weeks.
+// synthetic H1N1 stream is replayed week by week, each week's mention
+// edges applied to the streaming substrate as one batch and the global
+// clustering recounted on the snapshot after it; the temporal package
+// tracks how the interaction graph and its most central actors evolve
+// across the crisis weeks.
 package main
 
 import (
@@ -10,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"graphct/internal/cluster"
 	"graphct/internal/stream"
 	"graphct/internal/temporal"
 	"graphct/internal/tweets"
@@ -25,21 +27,22 @@ func main() {
 
 	fmt.Println("replaying stream week by week:")
 	week := -1
+	var batch []stream.Update
 	for _, t := range corpus {
 		if t.Week != week {
 			if week >= 0 {
-				report(st, week)
+				applyWeek(st, week, batch)
 			}
-			week = t.Week
+			week, batch = t.Week, batch[:0]
 		}
 		author, _ := ug.Lookup(t.Author)
 		for _, m := range tweets.Mentions(t.Text) {
 			if target, ok := ug.Lookup(m); ok && target != author {
-				st.Insert(stream.Update{U: author, V: target, Time: t.ID})
+				batch = append(batch, stream.Update{U: author, V: target, Time: t.ID})
 			}
 		}
 	}
-	report(st, week)
+	applyWeek(st, week, batch)
 
 	// Temporal snapshots: per-week graphs, top actors and their churn.
 	fmt.Println("\nweekly snapshots (isolated windows):")
@@ -55,7 +58,12 @@ func main() {
 	fmt.Println("  final week top actors:", strings.Join(snaps[len(snaps)-1].TopActors, ", "))
 }
 
-func report(st *stream.Stream, week int) {
+// applyWeek applies one week's mentions as one batch and prints the graph
+// after it.
+func applyWeek(st *stream.Stream, week int, batch []stream.Update) {
+	if _, err := st.ApplyBatch(batch); err != nil {
+		panic(err)
+	}
 	fmt.Printf("  after week %d: %7d edges, global clustering %.5f\n",
-		week, st.NumEdges(), st.GlobalCoefficient())
+		week, st.NumEdges(), cluster.Global(st.Snapshot()))
 }

@@ -17,8 +17,8 @@
 // The kernel is defined on the simple undirected graph under its input:
 // directed graphs are projected first, and the orientation pass drops self
 // loops and repeated arcs, so a KeepDuplicates multigraph gets the
-// triangles, degrees and coefficients of its simple graph — the values
-// stream.FromGraph maintains for the same input. Counts are integers and
+// triangles, degrees and coefficients of its simple graph, the graph
+// stream.FromGraph seeds a live stream with. Counts are integers and
 // do not depend on the worker count, the vertex numbering or the adjacency
 // encoding.
 //

@@ -115,9 +115,9 @@ func mergeForward(g *graph.Graph) (tri []int64, deg []int32) {
 	return tri, deg
 }
 
-// The differential suite lives in the external test package — it compares
-// against internal/stream, which imports this package — and reaches the
-// references through these names.
+// The differential suite lives in the external test package, calling the
+// kernels through the exported API, and reaches the references through
+// these names.
 var (
 	OracleTriangles = oracleTriangles
 	BruteTriangles  = bruteTriangles

@@ -1,11 +1,10 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"graphct/internal/cluster"
 )
 
 // randomBatch draws mixed insert/delete updates over n vertices, self
@@ -23,37 +22,15 @@ func randomBatch(rng *rand.Rand, n, size int, delFrac float64) []Update {
 	return batch
 }
 
-// assertStreamsEqual verifies two streams agree on every observable:
-// edges, adjacency, triangle counts and coefficients.
-func assertStreamsEqual(t *testing.T, got, want *Stream) {
-	t.Helper()
-	if got.NumEdges() != want.NumEdges() {
-		t.Fatalf("edges %d != %d", got.NumEdges(), want.NumEdges())
-	}
-	for v := int32(0); int(v) < want.n; v++ {
-		if got.Degree(v) != want.Degree(v) {
-			t.Fatalf("degree(%d) %d != %d", v, got.Degree(v), want.Degree(v))
-		}
-		for _, w := range want.adj[v] {
-			if !got.HasEdge(v, w) {
-				t.Fatalf("missing edge {%d,%d}", v, w)
-			}
-		}
-		if got.tri6[v] != want.tri6[v] {
-			t.Fatalf("tri6(%d) %d != %d", v, got.tri6[v], want.tri6[v])
-		}
-	}
-}
-
 // TestApplyBatchMatchesSequential is the core differential check: the
-// parallel sharded batch path must bit-match applying the same updates
-// one at a time.
+// parallel sharded batch path must bit-match the oracle applying the same
+// updates one at a time.
 func TestApplyBatchMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(40)
 		par := New(n)
-		seq := New(n)
+		seq := newOracle(n)
 		for round := 0; round < 6; round++ {
 			batch := randomBatch(rng, n, 1+rng.Intn(120), 0.3)
 			res, err := par.ApplyBatch(batch)
@@ -75,18 +52,15 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 			if res.Inserted != ins || res.Deleted != del {
 				t.Fatalf("seed %d: batch counted %+v, sequential %d/%d", seed, res, ins, del)
 			}
-			assertStreamsEqual(t, par, seq)
-			if par.LastTime() != seq.LastTime() {
-				t.Fatalf("seed %d: LastTime %d != %d", seed, par.LastTime(), seq.LastTime())
-			}
+			sameAsOracle(t, fmt.Sprintf("seed %d round %d", seed, round), par, seq)
 		}
 	}
 }
 
-// TestDifferentialReplay replays many seeded update sequences and, at
-// every 100-update checkpoint, demands that the incrementally maintained
-// per-vertex clustering coefficients and edge counts bit-match a
-// from-scratch internal/cluster computation over a materialized snapshot.
+// TestDifferentialReplay replays many seeded update sequences one update
+// per batch against the oracle's sequential Apply and, at every
+// 100-update checkpoint, demands the same state and a snapshot with the
+// same CSR arrays and edge count.
 func TestDifferentialReplay(t *testing.T) {
 	sequences := 1000
 	if testing.Short() {
@@ -95,7 +69,7 @@ func TestDifferentialReplay(t *testing.T) {
 	const n, updates, checkpoint = 24, 300, 100
 	for seed := 0; seed < sequences; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		s := New(n)
+		s, o := New(n), newOracle(n)
 		for i := 1; i <= updates; i++ {
 			up := Update{
 				U:    int32(rng.Intn(n)),
@@ -103,24 +77,22 @@ func TestDifferentialReplay(t *testing.T) {
 				Time: int64(i),
 				Del:  rng.Float64() < 0.25,
 			}
-			if _, err := s.Apply(up); err != nil {
+			if _, err := s.ApplyBatch([]Update{up}); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if _, err := o.Apply(up); err != nil {
+				t.Fatalf("seed %d: oracle: %v", seed, err)
 			}
 			if i%checkpoint != 0 {
 				continue
 			}
+			step := fmt.Sprintf("seed %d step %d", seed, i)
+			sameAsOracle(t, step, s, o)
 			snap := s.Snapshot()
 			if snap.NumEdges() != s.NumEdges() {
-				t.Fatalf("seed %d step %d: snapshot edges %d, stream %d",
-					seed, i, snap.NumEdges(), s.NumEdges())
+				t.Fatalf("%s: snapshot edges %d, stream %d", step, snap.NumEdges(), s.NumEdges())
 			}
-			want := cluster.Coefficients(snap)
-			for v := int32(0); v < n; v++ {
-				if got := coefficient(s, v); got != want[v] {
-					t.Fatalf("seed %d step %d: coefficient(%d) = %v, from scratch %v",
-						seed, i, v, got, want[v])
-				}
-			}
+			sameSnapshot(t, step, snap, o.Snapshot())
 		}
 	}
 }
@@ -216,30 +188,4 @@ func TestPropertySnapshotValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestFromGraphSeedsTriangles: a stream seeded from a static graph starts
-// with the static kernel's triangle counts and keeps them consistent
-// through further updates.
-func TestFromGraphSeedsTriangles(t *testing.T) {
-	base := New(12)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 60; i++ {
-		base.Insert(Update{U: int32(rng.Intn(12)), V: int32(rng.Intn(12)), Time: int64(i)})
-	}
-	snap := base.Snapshot()
-	s := FromGraph(snap)
-	if s.NumEdges() != snap.NumEdges() {
-		t.Fatalf("edges %d != %d", s.NumEdges(), snap.NumEdges())
-	}
-	want := cluster.Triangles(snap)
-	got := s.Triangles()
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("tri(%d) = %d, want %d", v, got[v], want[v])
-		}
-	}
-	s.Insert(Update{U: 0, V: 1, Time: 100})
-	s.Delete(Update{U: 0, V: 1, Time: 101})
-	assertStreamsEqual(t, s, FromGraph(s.Snapshot()))
 }

@@ -1,29 +1,27 @@
 package stream
 
 // The map-based Stream this package shipped before sorted adjacency rows,
-// kept verbatim as the differential oracle for differential_test.go —
-// renamed to oracleStream (normalize to oracleNormalize), with one line
-// added: its snapshot fill sorts each row, since IncrementalCSR now takes
-// rows in ascending order.
+// kept as the differential oracle for differential_test.go — renamed to
+// oracleStream (normalize to oracleNormalize), with one line added: its
+// snapshot fill sorts each row, since IncrementalCSR now takes rows in
+// ascending order. Its incremental triangle counters left with the
+// stream's; its rows, dirty set, snapshots and sequential Apply remain.
 
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
-	"graphct/internal/cluster"
 	"graphct/internal/failpoint"
 	"graphct/internal/graph"
 	"graphct/internal/par"
 )
 
-// oracleStream is a dynamic undirected graph with incrementally maintained
-// triangle counts. It is not safe for concurrent mutation; batches are the
-// concurrency unit, as in the streaming paper.
+// oracleStream is a dynamic undirected graph. It is not safe for
+// concurrent mutation; batches are the concurrency unit, as in the
+// streaming paper.
 type oracleStream struct {
 	n        int
 	adj      []map[int32]struct{}
-	tri6     []int64 // triScale x triangles incident on each vertex
 	edges    int64
 	lastTime int64
 
@@ -42,7 +40,6 @@ func newOracle(n int) *oracleStream {
 	s := &oracleStream{
 		n:     n,
 		adj:   make([]map[int32]struct{}, n),
-		tri6:  make([]int64, n),
 		dirty: make([]bool, n),
 	}
 	for i := range s.adj {
@@ -54,8 +51,7 @@ func newOracle(n int) *oracleStream {
 // oracleFromGraph builds a stream preloaded with the undirected simple
 // projection of g (self loops dropped, directions and duplicates
 // collapsed), so an existing static graph can start accepting live
-// updates. Triangle counts are seeded by the static kernel, which is
-// defined on the same simple projection.
+// updates.
 func oracleFromGraph(g *graph.Graph) *oracleStream {
 	if g.Directed() {
 		g = g.Undirected()
@@ -73,9 +69,6 @@ func oracleFromGraph(g *graph.Graph) *oracleStream {
 			s.edges++
 		}
 	}
-	for v, t := range cluster.Triangles(g) {
-		s.tri6[v] = triScale * t
-	}
 	return s
 }
 
@@ -87,9 +80,7 @@ func (s *oracleStream) HasEdge(u, v int32) bool {
 
 // Insert adds the undirected edge {u,v}. Duplicate edges and self loops
 // are ignored (the mention-graph dedup rule). It returns true when the
-// edge was new. Triangle counts of u, v and each common neighbor are
-// updated incrementally: inserting {u,v} creates one triangle per common
-// neighbor.
+// edge was new.
 func (s *oracleStream) Insert(up Update) (bool, error) {
 	u, v := up.U, up.V
 	if err := s.check(u, v); err != nil {
@@ -99,12 +90,6 @@ func (s *oracleStream) Insert(up Update) (bool, error) {
 		s.touch(up.Time)
 		return false, nil
 	}
-	common := s.commonNeighbors(u, v)
-	for _, w := range common {
-		s.tri6[w] += triScale
-	}
-	s.tri6[u] += triScale * int64(len(common))
-	s.tri6[v] += triScale * int64(len(common))
 	s.adj[u][v] = struct{}{}
 	s.adj[v][u] = struct{}{}
 	s.edges++
@@ -115,8 +100,8 @@ func (s *oracleStream) Insert(up Update) (bool, error) {
 	return true, nil
 }
 
-// Delete removes the undirected edge {u,v}, reversing the triangle
-// bookkeeping. It returns true when the edge existed.
+// Delete removes the undirected edge {u,v}. It returns true when the edge
+// existed.
 func (s *oracleStream) Delete(up Update) (bool, error) {
 	u, v := up.U, up.V
 	if err := s.check(u, v); err != nil {
@@ -132,12 +117,6 @@ func (s *oracleStream) Delete(up Update) (bool, error) {
 	s.sinceSnap++
 	s.markDirty(u)
 	s.markDirty(v)
-	common := s.commonNeighbors(u, v)
-	for _, w := range common {
-		s.tri6[w] -= triScale
-	}
-	s.tri6[u] -= triScale * int64(len(common))
-	s.tri6[v] -= triScale * int64(len(common))
 	s.touch(up.Time)
 	return true, nil
 }
@@ -178,22 +157,6 @@ func (s *oracleStream) DirtyVertices() int {
 		return s.n
 	}
 	return len(s.dirtyList)
-}
-
-// commonNeighbors returns vertices adjacent to both u and v, iterating
-// the smaller adjacency set.
-func (s *oracleStream) commonNeighbors(u, v int32) []int32 {
-	a, b := u, v
-	if len(s.adj[a]) > len(s.adj[b]) {
-		a, b = b, a
-	}
-	var out []int32
-	for w := range s.adj[a] {
-		if _, ok := s.adj[b][w]; ok {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // Snapshot materializes the current graph as a static CSR graph, bridging
@@ -241,22 +204,13 @@ func (s *oracleStream) Snapshot() *graph.Graph {
 // The whole batch is validated before anything mutates, so an error means
 // the stream is unchanged. The batch is then split into maximal runs of
 // same-op updates (inserts accrete, deletes reverse; runs preserve the
-// caller's op ordering). Each run is applied in phases:
-//
-//  1. adjacency mutation, parallel over vertex shards: every vertex
-//     belongs to exactly one shard, each shard scans the run entries
-//     touching its vertices in batch order and mutates only the adjacency
-//     sets it owns. Both endpoint shards of an edge see the same
-//     pre-state and the same in-run duplicate history, so they reach the
-//     same new/duplicate verdict independently, keeping the sets
-//     symmetric without cross-shard coordination;
-//  2. triangle maintenance, parallel over the run's effective edges with
-//     atomic adds: a triangle whose membership changed is discovered once
-//     from each of its k changed edges, and each discovery contributes
-//     triScale/k per corner — summing to exactly triScale (one triangle)
-//     no matter how many batch edges it shares. This is the streaming
-//     paper's batched clustering-coefficient update, kept in integers by
-//     the fixed-point counter.
+// caller's op ordering). Each run's adjacency is mutated in parallel over
+// vertex shards: every vertex belongs to exactly one shard, each shard
+// scans the run entries touching its vertices in batch order and mutates
+// only the adjacency sets it owns. Both endpoint shards of an edge see the
+// same pre-state and the same in-run duplicate history, so they reach the
+// same new/duplicate verdict independently, keeping the sets symmetric
+// without cross-shard coordination.
 //
 // The result bit-matches applying the same updates one at a time.
 func (s *oracleStream) ApplyBatch(batch []Update) (BatchResult, error) {
@@ -318,7 +272,7 @@ func (s *oracleStream) insertRun(run []pair) int {
 	mask := int32(shards - 1)
 	buckets := bucketize(run, shards)
 
-	// Phase 1: sharded adjacency mutation. The lo-side shard doubles as
+	// Sharded adjacency mutation. The lo-side shard doubles as
 	// the edge's owner, recording effective (new) edges exactly once.
 	newEdges := make([][]pair, shards)
 	dirtied := make([][]int32, shards)
@@ -351,9 +305,6 @@ func (s *oracleStream) insertRun(run []pair) int {
 	fresh := s.mergeShardState(newEdges, dirtied)
 	s.edges += int64(len(fresh))
 	s.sinceSnap += int64(len(fresh))
-
-	// Phase 2: batched triangle update over the post-insert adjacency.
-	s.triangleDelta(fresh, +1)
 	return len(fresh)
 }
 
@@ -368,12 +319,11 @@ func (s *oracleStream) deleteRun(run []pair) int {
 
 	// Phase 1: each edge's owner shard decides which deletions take
 	// effect (edge present and not already claimed by an earlier run
-	// entry), without mutating — the triangle update needs the pre-delete
-	// adjacency.
+	// entry), without mutating.
 	removed := make([][]pair, shards)
 	par.ForChunked(shards, 1, func(sLo, sHi int) {
 		for sid := sLo; sid < sHi; sid++ {
-			var claimed map[int64]struct{}
+			var claimed map[pair]struct{}
 			for _, i := range buckets[sid] {
 				e := run[i]
 				if e.lo&mask != int32(sid) {
@@ -383,12 +333,12 @@ func (s *oracleStream) deleteRun(run []pair) int {
 					continue
 				}
 				if claimed == nil {
-					claimed = make(map[int64]struct{})
+					claimed = make(map[pair]struct{})
 				}
-				if _, dup := claimed[e.key()]; dup {
+				if _, dup := claimed[e]; dup {
 					continue
 				}
-				claimed[e.key()] = struct{}{}
+				claimed[e] = struct{}{}
 				removed[sid] = append(removed[sid], e)
 			}
 		}
@@ -401,10 +351,7 @@ func (s *oracleStream) deleteRun(run []pair) int {
 		return 0
 	}
 
-	// Phase 2: subtract destroyed triangles against the pre-delete state.
-	s.triangleDelta(gone, -1)
-
-	// Phase 3: sharded removal. Re-bucket just the effective deletions;
+	// Phase 2: sharded removal. Re-bucket just the effective deletions;
 	// each shard deletes the adjacency entries of the vertices it owns.
 	dirtied := make([][]int32, shards)
 	goneBuckets := bucketize(gone, shards)
@@ -445,49 +392,4 @@ func (s *oracleStream) mergeShardState(newEdges [][]pair, dirtied [][]int32) []p
 		s.dirtyList = append(s.dirtyList, part...)
 	}
 	return fresh
-}
-
-// triangleDelta applies the batched triangle correction for the changed
-// edges: for inserts (sign +1) the adjacency already holds the run's new
-// edges; for deletes (sign -1) it still holds the edges being removed. A
-// triangle with k changed edges is discovered from each of them; each
-// discovery credits triScale/k per corner so the triangle nets exactly
-// one count at every corner.
-func (s *oracleStream) triangleDelta(changed []pair, sign int64) {
-	if len(changed) == 0 {
-		return
-	}
-	inRun := make(map[int64]struct{}, len(changed))
-	for _, e := range changed {
-		inRun[e.key()] = struct{}{}
-	}
-	isChanged := func(a, b int32) int64 {
-		p := pair{a, b}
-		if a > b {
-			p = pair{b, a}
-		}
-		if _, ok := inRun[p.key()]; ok {
-			return 1
-		}
-		return 0
-	}
-	par.ForChunked(len(changed), 32, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := changed[i]
-			u, v := e.lo, e.hi
-			if len(s.adj[u]) > len(s.adj[v]) {
-				u, v = v, u
-			}
-			for w := range s.adj[u] {
-				if _, ok := s.adj[v][w]; !ok {
-					continue
-				}
-				k := 1 + isChanged(e.lo, w) + isChanged(e.hi, w)
-				d := sign * (triScale / k)
-				atomic.AddInt64(&s.tri6[e.lo], d)
-				atomic.AddInt64(&s.tri6[e.hi], d)
-				atomic.AddInt64(&s.tri6[w], d)
-			}
-		}
-	})
 }

@@ -24,13 +24,14 @@ var orphanAllowlist = map[string]string{
 	"internal/gen.PreferentialAttachment":   "test fixture: heavy-tailed graph for oracle checks",
 	"internal/gen.Star":                     "test fixture: star with closed-form scores",
 	"internal/sssp.Dijkstra":                "test oracle: reference for delta-stepping",
+	"internal/cluster.Triangles":            "test oracle: per-vertex counts the recovery and soak tests compare",
 	"internal/testutil.AlmostEqual":         "test harness: the repo's one float tolerance",
 	"internal/testutil.CheckGoroutines":     "test harness: leak check after server tests",
 	"internal/load.ClassReport.Rate":        "test harness: load driver behind the lanes SLO tests",
 	"internal/load.Target.Ingest":           "test harness: load driver behind the lanes SLO tests",
 	"internal/load.Target.Kernel":           "test harness: load driver behind the lanes SLO tests",
 	"internal/graph.Graph.UndirectedBuilds": "test seam: counts the projections the cache saves",
-	"internal/stream.Stream.DirtyVertices":  "test seam: observes the dirty set behind incremental clustering",
+	"internal/stream.Stream.DirtyVertices":  "test seam: observes the dirty set behind incremental snapshots",
 	"internal/server.BreakerSet.State":      "test seam: observes breaker transitions",
 	"internal/wal.Log.Appends":              "test seam: observes how many batches reached the log",
 	"internal/failpoint.Error.Unwrap":       "interface method: errors.Is and errors.As call it",
