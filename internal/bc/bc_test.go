@@ -545,9 +545,9 @@ func BenchmarkKBetweennessK1(b *testing.B) {
 // TestWarmSourceSweepsDoNotAllocate pins the per-source hot paths to zero
 // heap allocations once their workspaces are warm: a Brandes source on a
 // reused workspace, the weighted pendant-aware Brandes source of a folded
-// run, and a bidirectional pair sample on a reused pairWorkspace. An extra
-// copy or a per-level buffer creeping into any of the loops shows here as a
-// non-zero count.
+// run, k-betweenness sources at k = 1 and 2, and a bidirectional pair
+// sample on a reused pairWorkspace. An extra copy or a per-level buffer
+// creeping into any of the loops shows here as a non-zero count.
 func TestWarmSourceSweepsDoNotAllocate(t *testing.T) {
 	g := gen.RMAT(gen.PaperRMAT(12, 1))
 	n := int32(g.NumVertices())
@@ -586,6 +586,20 @@ func TestWarmSourceSweepsDoNotAllocate(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("warm folded brandesSource allocates %.2f times a source, want 0", allocs)
+	}
+
+	for k := 1; k <= MaxK; k++ {
+		kws := newWorkspace(g, k)
+		for i := 0; i < runs; i++ {
+			kbcSource(g, src(i), kws, sink)
+		}
+		i = 0
+		if allocs := testing.AllocsPerRun(runs, func() {
+			kbcSource(g, src(i%runs), kws, sink)
+			i++
+		}); allocs != 0 {
+			t.Errorf("warm kbcSource at k = %d allocates %.2f times a source, want 0", k, allocs)
+		}
 	}
 
 	pw := newPairWorkspace(int(n))

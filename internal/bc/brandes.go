@@ -21,8 +21,8 @@ import (
 type workspace struct {
 	n, k       int
 	dist       []int32
-	sigma      []float64 // path counts; stride k+1 per vertex when k > 0
-	delta      []float64 // dependencies; same shape as sigma
+	sigma      []float64 // path counts; slack column j at [j·n, (j+1)·n)
+	delta      []float64 // dependencies; same columns as sigma
 	sigTot     []float64 // per-vertex total short-path count (k > 0 only)
 	order      []int32   // visitation order of the last search
 	levelStart []int     // offsets into order where each BFS level begins
@@ -70,13 +70,11 @@ func (ws *workspace) reset() {
 		clear(ws.sigTot)
 		clear(ws.acc)
 	} else {
-		stride := ws.k + 1
 		for _, v := range ws.order {
 			ws.dist[v] = -1
-			base := int(v) * stride
-			for j := 0; j < stride; j++ {
-				ws.sigma[base+j] = 0
-				ws.delta[base+j] = 0
+			for j := int(v); j < len(ws.sigma); j += ws.n {
+				ws.sigma[j] = 0
+				ws.delta[j] = 0
 			}
 			ws.sigTot[v] = 0
 			if ws.acc != nil {

@@ -242,7 +242,9 @@ func TestFoldRule(t *testing.T) {
 // repeated arcs, pendants and K2s come naturally at this density — plus a
 // sample count, seed and strategy, and holds the forced fold to the
 // unfolded oracle, and the unfolded kernel, one source at a time, to the
-// pull sweep's scores with ==.
+// pull sweep's scores with ==. The seed byte's parity also picks k = 1 or
+// 2, and every source's k-betweenness must equal the retired kernel's
+// with ==.
 func FuzzFoldedCentrality(f *testing.F) {
 	f.Add([]byte{9, 0, 1, 0, 0, 1, 1, 2, 2, 3, 3, 3, 4, 5, 4, 6, 7, 8})
 	f.Add([]byte{12, 5, 9, 2, 0, 1, 0, 1, 1, 2, 2, 0, 3, 0, 4, 5, 6, 7, 8, 8, 9, 10, 9, 11})
@@ -281,5 +283,6 @@ func FuzzFoldedCentrality(f *testing.F) {
 			t.Fatalf("sources %v, want %v", got.Sources, want.Sources)
 		}
 		requireScoresClose(t, got.Scores, want.Scores)
+		requireKBCMatchesOracle(t, g, 1+int(data[2])%2)
 	})
 }

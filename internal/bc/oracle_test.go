@@ -101,6 +101,181 @@ func pullBackwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) (
 	return reached
 }
 
+// kbcOracleSource is the k-betweenness kernel this package shipped before
+// it ran on Brandes' forward sweep, kept as the oracle kbcSource must match
+// to the bit: a private top-down BFS, then forward and backward sweeps
+// that re-walk every level once per walk length, on its own arrays with
+// the k+1 slack entries of a vertex interleaved. Its per-level fan-out is
+// a plain loop: one source runs serially.
+func kbcOracleSource(g *graph.Graph, s int32, k int, sink scoreSink) {
+	n := g.NumVertices()
+	stride := k + 1
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	sigma := make([]float64, n*stride)
+	dep := make([]float64, n*stride)
+	sigTot := make([]float64, n)
+
+	// Phase 1: BFS from s recording visitation order and level offsets.
+	dist[s] = 0
+	order := []int32{s}
+	levelStart := []int{0}
+	frontier := order[0:1]
+	for len(frontier) > 0 {
+		frontierEnd := len(order)
+		for _, u := range frontier {
+			du := dist[u]
+			for _, v := range g.Neighbors(u) {
+				if dist[v] == -1 {
+					dist[v] = du + 1
+					order = append(order, v)
+				}
+			}
+		}
+		if len(order) == frontierEnd {
+			break
+		}
+		levelStart = append(levelStart, frontierEnd)
+		frontier = order[frontierEnd:]
+	}
+	maxDist := len(levelStart) - 1
+	maxLen := maxDist + k
+
+	levelSlice := func(d int) []int32 {
+		if d < 0 || d > maxDist {
+			return nil
+		}
+		lo := levelStart[d]
+		hi := len(order)
+		if d+1 <= maxDist {
+			hi = levelStart[d+1]
+		}
+		return order[lo:hi]
+	}
+
+	// Phase 2: forward sweep in increasing walk length L. A walk of
+	// length L arrives at v with slack j = L − dist[v]; its last step
+	// leaves a neighbor u holding slack L−1−dist[u].
+	sigma[int(s)*stride] = 1
+	for L := 1; L <= maxLen; L++ {
+		for d := max(L-k, 0); d <= min(L, maxDist); d++ {
+			for _, v := range levelSlice(d) {
+				if v == s {
+					continue
+				}
+				var sv float64
+				for _, u := range g.Neighbors(v) {
+					du := dist[u]
+					if du == -1 {
+						continue
+					}
+					ju := L - 1 - int(du)
+					if ju >= 0 && ju <= k {
+						sv += sigma[int(u)*stride+ju]
+					}
+				}
+				sigma[int(v)*stride+(L-d)] = sv
+			}
+		}
+	}
+	for _, v := range order {
+		var tot float64
+		base := int(v) * stride
+		for j := 0; j <= k; j++ {
+			tot += sigma[base+j]
+		}
+		sigTot[v] = tot
+	}
+
+	// Phase 3: backward sweep in decreasing walk length.
+	for L := maxLen; L >= 0; L-- {
+		for d := max(L-k, 0); d <= min(L, maxDist); d++ {
+			for _, v := range levelSlice(d) {
+				var dv float64
+				if v != s {
+					dv = 1 / sigTot[v]
+				}
+				for _, w := range g.Neighbors(v) {
+					if w == s {
+						continue
+					}
+					dw := dist[w]
+					if dw == -1 {
+						continue
+					}
+					jw := L + 1 - int(dw)
+					if jw >= 0 && jw <= k {
+						dv += dep[int(w)*stride+jw]
+					}
+				}
+				dep[int(v)*stride+(L-d)] = dv
+			}
+		}
+	}
+
+	for _, v := range order {
+		if v == s {
+			continue
+		}
+		base := int(v) * stride
+		var credit float64
+		for j := 0; j <= k; j++ {
+			credit += sigma[base+j] * dep[base+j]
+		}
+		credit -= 1
+		if k >= 2 {
+			bt := 0
+			for _, w := range g.Neighbors(v) {
+				if w != s && w != v && dist[w] != -1 {
+					bt++
+				}
+			}
+			credit -= sigma[base] * float64(bt) / sigTot[v]
+		}
+		if credit > 0 {
+			sink.add(v, credit)
+		}
+	}
+}
+
+// kbcOracle sums kbcOracleSource over every source of g, one after another
+// into one score array: the exact k-betweenness a full run estimates.
+func kbcOracle(g *graph.Graph, k int) []float64 {
+	sink := scoreSink{local: make([]float64, g.NumVertices()), scale: 1}
+	for s := int32(0); int(s) < g.NumVertices(); s++ {
+		kbcOracleSource(g, s, k, sink)
+	}
+	return sink.local
+}
+
+// requireKBCMatchesOracle runs kbcSource and kbcOracleSource from every
+// source of g (every sixteenth under -race), each into its own fresh
+// stripe, and fails unless the two stripes agree with == after each.
+func requireKBCMatchesOracle(t *testing.T, g *graph.Graph, k int) {
+	t.Helper()
+	n := g.NumVertices()
+	ws := newWorkspace(g, k)
+	got := scoreSink{local: make([]float64, n), scale: 1}
+	want := scoreSink{local: make([]float64, n), scale: 1}
+	step := int32(1)
+	if raceEnabled {
+		step = 16
+	}
+	for s := int32(0); int(s) < n; s += step {
+		clear(got.local)
+		clear(want.local)
+		kbcSource(g, s, ws, got)
+		kbcOracleSource(g, s, k, want)
+		for v := range want.local {
+			if got.local[v] != want.local[v] {
+				t.Fatalf("k=%d source %d: stripe[%d] = %v, oracle %v", k, s, v, got.local[v], want.local[v])
+			}
+		}
+	}
+}
+
 // unfoldedFor is the k = 0 path before pendant folding: every source swept
 // on g itself, one after another into one score array, in the order given.
 // It is the reference the folded run is compared against; with one source
@@ -185,21 +360,19 @@ func adversarialShapes(t testing.TB) map[string]*graph.Graph {
 }
 
 // TestHybridSweepMatchesOracle compares the kernel with the top-down
-// oracle and with brute force on the adversarial shapes, at one, two and
-// four sources in flight. The pull-style backward sweep
-// fixes the summation order inside a source, but which stripe a source
-// lands in depends on scheduling, so sums over sources agree to the
-// repository tolerance, not to the bit. k = 1 has no second
-// implementation at these sizes; there the serial run is the reference,
-// which still checks the parallel driver. Cases keep the compact=false
-// level from when a delta-varint compact graph ran beside the raw one, so
-// their names stay stable.
+// oracle and with brute force on the adversarial shapes, and k = 1 with
+// the retired k-betweenness kernel, at one, two and four sources in
+// flight. The backward sweeps fix the summation order inside a source,
+// but which stripe a source lands in depends on scheduling, so sums over
+// sources agree to the repository tolerance, not to the bit. Cases keep
+// the compact=false level from when a delta-varint compact graph ran
+// beside the raw one, so their names stay stable.
 func TestHybridSweepMatchesOracle(t *testing.T) {
 	for name, g := range adversarialShapes(t) {
 		t.Run(name, func(t *testing.T) {
 			want := [2][]float64{
 				topDownCentrality(g),
-				Centrality(g, Options{K: 1, Concurrency: 1}).Scores,
+				kbcOracle(g, 1),
 			}
 			requireScoresClose(t, want[0], bruteForce(g))
 			for k, ref := range want {
@@ -208,6 +381,25 @@ func TestHybridSweepMatchesOracle(t *testing.T) {
 						requireScoresClose(t, Centrality(g, Options{K: k, Concurrency: c}).Scores, ref)
 					})
 				}
+			}
+		})
+	}
+}
+
+// TestKBCMatchesOracle holds kbcSource to the retired kernel, to the bit,
+// source by source, at k = 0, 1 and 2: on the adversarial shapes, 20
+// seeded random graphs, R-MAT 10 and a binary tree.
+func TestKBCMatchesOracle(t *testing.T) {
+	graphs := adversarialShapes(t)
+	for seed := int64(1); seed <= 20; seed++ {
+		graphs[fmt.Sprintf("erdos-renyi-%d", seed)] = gen.ErdosRenyi(200, 900, seed)
+	}
+	graphs["rmat10"] = gen.RMAT(gen.PaperRMAT(10, 1))
+	graphs["binary-tree"] = gen.BinaryTree(63)
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			for k := 0; k <= MaxK; k++ {
+				requireKBCMatchesOracle(t, g, k)
 			}
 		})
 	}

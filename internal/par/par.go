@@ -82,58 +82,6 @@ func ForChunked(n, chunk int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForGuided runs body(lo, hi) over contiguous chunks covering [0, n) using
-// guided (decaying-chunk) self-scheduling: each claim takes a fixed share of
-// the iterations still remaining (remaining / 2·workers), never less than
-// minChunk. Early claims are large, amortizing the claiming atomic; late
-// claims shrink so a worker that drew a run of heavy iterations (hub
-// vertices) cannot strand a large tail behind it. minChunk <= 0 uses 64.
-//
-// The chunk size is computed from a racy read of the cursor; a stale read
-// only makes a claim slightly larger or smaller than the ideal share, never
-// incorrect, so no extra synchronization is needed.
-func ForGuided(n, minChunk int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if minChunk <= 0 {
-		minChunk = 64
-	}
-	workers := Workers()
-	if workers == 1 || n <= minChunk {
-		body(0, n)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				remaining := n - int(next.Load())
-				if remaining <= 0 {
-					return
-				}
-				chunk := remaining / (2 * workers)
-				if chunk < minChunk {
-					chunk = minChunk
-				}
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // ForEachWorker runs body(worker, workers) once per worker goroutine. It is
 // the escape hatch for kernels that keep per-worker scratch (e.g. frontier
 // buffers) and partition work themselves.

@@ -290,39 +290,6 @@ func TestForEachWorkerPartitionExample(t *testing.T) {
 	}
 }
 
-func TestForGuidedCoversAllIterations(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 1009, 100000} {
-		data := make([]int32, n)
-		ForGuided(n, 0, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("bad chunk [%d, %d) for n=%d", lo, hi, n)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&data[i], 1)
-			}
-		})
-		for i, v := range data {
-			if v != 1 {
-				t.Fatalf("n=%d: index %d hit %d times", n, i, v)
-			}
-		}
-	}
-}
-
-func TestForGuidedRespectsMinChunk(t *testing.T) {
-	const n, minChunk = 10000, 256
-	var small atomic.Int32
-	ForGuided(n, minChunk, func(lo, hi int) {
-		// Only the final chunk (clipped at n) may be under minChunk.
-		if hi-lo < minChunk && hi != n {
-			small.Add(1)
-		}
-	})
-	if small.Load() != 0 {
-		t.Fatalf("%d interior chunks under minChunk", small.Load())
-	}
-}
-
 func TestFoldSlicesTreeReduction(t *testing.T) {
 	const n = 5000
 	for stripes := 0; stripes <= 9; stripes++ {
