@@ -24,7 +24,9 @@ import (
 // slot reserved for cheap kernels. Lanes off, the betweenness requests
 // hold both slots and cheap reads queue behind them past the bound; lanes
 // on, every cheap class stays under the bound and under half its lanes-off
-// tail.
+// tail. Each betweenness request holds its slot for a fixed delay (the
+// kernel.exec.expensive failpoint) before its kernel runs, so the lanes-off
+// queueing does not shrink when the kernel gets faster.
 func TestLanesProtectCheapReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives real daemons; skipped in -short")
@@ -34,6 +36,7 @@ func TestLanesProtectCheapReads(t *testing.T) {
 	// The daemons inherit this: a betweenness request then costs the same
 	// on a runner with more cores, so the lanes-off forcing function holds.
 	t.Setenv("GOMAXPROCS", "2")
+	t.Setenv("GRAPHCT_FAILPOINTS", "kernel.exec.expensive=delay(2s)")
 	off := runLanesBlend(t, bin, 0)
 	on := runLanesBlend(t, bin, 1)
 

@@ -15,6 +15,7 @@
 // sweeps run on the pendant-free core, once per distinct core source and
 // weighted by the drawn sources it answers for, and the scores are exact
 // — the same as unfolded, pendants at 0. Mention graphs are 40 % pendants.
+// The core is renamed in degree-descending order, hubs first.
 //
 // Accumulation into the score array departs from the XMT idiom on purpose.
 // The paper's hardware hides the latency of hammering one shared array
@@ -22,15 +23,16 @@
 // pattern turns the high-centrality hubs of a scale-free graph into
 // white-hot contended cache lines. Each in-flight source therefore
 // accumulates into a private stripe and the stripes are merged once by a
-// parallel tree reduction. A stripe is 8·n bytes beside the 40·n bytes of
+// parallel tree reduction. A stripe is 8·n bytes beside the 44·n bytes of
 // per-source scratch the slot needs anyway. Both Brandes sweeps are
 // direction-optimized. The forward sweep picks top-down or bottom-up per
 // level (Beamer, thresholds shared with internal/bfs), so hub-dominated
-// levels stop scanning the whole edge list. The backward sweep picks per
-// level between pulling over the level's own rows and pushing from the
-// next-deeper level's rows, whichever reads fewer arcs; both add each
-// vertex's successor terms in ascending id, so a source's dependencies are
-// bit-identical to the pull-only sweep's either way.
+// levels stop scanning the whole edge list, and every bottom-up level
+// after a sweep's first walks only the ids still unvisited. The backward
+// sweep picks per level between pulling over the level's own rows and
+// pushing from the next-deeper level's rows, whichever reads fewer arcs;
+// both add each vertex's successor terms in ascending id, so a source's
+// dependencies are bit-identical to the pull-only sweep's either way.
 package bc
 
 import (

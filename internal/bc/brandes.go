@@ -29,7 +29,9 @@ type workspace struct {
 	levelArcs  []int64   // arcs in each level's rows
 	levelAsc   []bool    // level found bottom-up, so its order segment is ascending
 	acc        []float64 // push accumulators of the backward sweep (k = 0 only)
+	unvisited  []int32   // ids the last bottom-up level left unvisited, ascending
 	bottomUps  int       // levels discovered pull-style; survives reset (test sentinel)
+	upIDs      int64     // ids the bottom-up levels examined; survives reset (test and bench probe)
 	backArcs   int64     // arcs the backward sweeps read; survives reset (test and bench probe)
 	// pend[v] counts the pendants folded into v (fold.go); nil on an
 	// unfolded graph. It is shared read-only by every slot of a run.
@@ -41,11 +43,12 @@ func newWorkspace(g *graph.Graph, k int) *workspace {
 	n := g.NumVertices()
 	ws := &workspace{
 		n: n, k: k,
-		dist:   make([]int32, n),
-		sigma:  make([]float64, n*(k+1)),
-		delta:  make([]float64, n*(k+1)),
-		sigTot: make([]float64, n),
-		order:  make([]int32, 0, n),
+		dist:      make([]int32, n),
+		sigma:     make([]float64, n*(k+1)),
+		delta:     make([]float64, n*(k+1)),
+		sigTot:    make([]float64, n),
+		order:     make([]int32, 0, n),
+		unvisited: make([]int32, 0, n),
 	}
 	for i := range ws.dist {
 		ws.dist[i] = -1
@@ -86,6 +89,7 @@ func (ws *workspace) reset() {
 	ws.levelStart = ws.levelStart[:0]
 	ws.levelArcs = ws.levelArcs[:0]
 	ws.levelAsc = ws.levelAsc[:0]
+	ws.unvisited = ws.unvisited[:0]
 }
 
 // brandesSource runs one source's forward and backward sweeps,
@@ -129,6 +133,7 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 	frontier := ws.order[0:1]
 	n := int64(g.NumVertices())
 	remaining := g.NumArcs()
+	listed := false
 	for len(frontier) > 0 {
 		var frontierEdges int64
 		for _, u := range frontier {
@@ -139,7 +144,8 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 		frontierEnd := len(ws.order)
 		up := frontierEdges > remaining/bfs.HybridAlpha && int64(len(frontier)) > n/bfs.HybridBeta
 		if up {
-			ws.bottomUpLevel(g, frontier)
+			ws.bottomUpLevel(g, frontier, listed)
+			listed = true
 		} else {
 			ws.topDownLevel(g, frontier)
 		}
@@ -176,6 +182,14 @@ func (ws *workspace) topDownLevel(g *graph.Graph, frontier []int32) {
 // shot. O(unvisited-vertex edges), which on hub levels is far less than
 // the frontier's out-edges. It discovers the level in ascending id.
 //
+// The first bottom-up level of a sweep (listed false) walks ids 0..n−1
+// and appends the ones it leaves unvisited to ws.unvisited, which reset
+// left empty. A later one walks only that list, compacting it in place:
+// it drops the ids it discovers and those a top-down level reached since
+// (dist != -1). The list stays ascending, so discovery does too, and on
+// the hub-and-tree graphs, where most of a sweep's levels run bottom-up,
+// the late levels stop re-walking the ids the hub levels already took.
+//
 // Frontier membership is encoded in the values themselves: fsig holds
 // sigma[u] for frontier vertices and 0 everywhere else, so the inner loop
 // is an unconditional load-and-add — no membership test, no branch to
@@ -184,7 +198,7 @@ func (ws *workspace) topDownLevel(g *graph.Graph, frontier []int32) {
 // fsig; the frontier entries are re-zeroed before returning, restoring
 // the all-zero invariant the next bottom-up level (and reset's
 // bookkeeping) relies on.
-func (ws *workspace) bottomUpLevel(g *graph.Graph, frontier []int32) {
+func (ws *workspace) bottomUpLevel(g *graph.Graph, frontier []int32, listed bool) {
 	ws.bottomUps++
 	fsig := ws.delta
 	sigma := ws.sigma
@@ -193,18 +207,35 @@ func (ws *workspace) bottomUpLevel(g *graph.Graph, frontier []int32) {
 	}
 	d := ws.dist[frontier[0]] + 1
 	dist := ws.dist
-	for v := int32(0); int(v) < ws.n; v++ {
-		if dist[v] != -1 {
-			continue
-		}
+	// pull discovers v on level d if it has a frontier neighbour.
+	pull := func(v int32) bool {
 		var sv float64
 		for _, u := range g.Neighbors(v) {
 			sv += fsig[u]
 		}
-		if sv != 0 {
-			dist[v] = d
-			sigma[v] = sv
-			ws.order = append(ws.order, v)
+		if sv == 0 {
+			return false
+		}
+		dist[v] = d
+		sigma[v] = sv
+		ws.order = append(ws.order, v)
+		return true
+	}
+	if listed {
+		ws.upIDs += int64(len(ws.unvisited))
+		kept := ws.unvisited[:0]
+		for _, v := range ws.unvisited {
+			if dist[v] == -1 && !pull(v) {
+				kept = append(kept, v)
+			}
+		}
+		ws.unvisited = kept
+	} else {
+		ws.upIDs += int64(ws.n)
+		for v := int32(0); int(v) < ws.n; v++ {
+			if dist[v] == -1 && !pull(v) {
+				ws.unvisited = append(ws.unvisited, v)
+			}
 		}
 	}
 	for _, u := range frontier {

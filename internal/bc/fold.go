@@ -33,7 +33,8 @@ import (
 // only so tests can force the fold.
 var foldC int64 = 16
 
-// fold is a k = 0 run on the pendant-free core of g.
+// fold is a k = 0 run on the pendant-free core of g, its vertices renamed
+// in degree-descending order.
 type fold struct {
 	n      int // vertices of g
 	core   *graph.Graph
@@ -87,9 +88,18 @@ func planFold(g *graph.Graph, sources []int32) *fold {
 
 	keep := make([]bool, n)
 	par.For(n, func(v int) { keep[v] = parentOf(g, int32(v)) < 0 })
-	core, origID := g.InducedArcs(keep)
-	// at now renames core vertices: core id, by g id.
-	par.For(len(origID), func(c int) { at[origID[c]] = int32(c) })
+	core, kept := g.InducedArcs(keep)
+	// Hubs first: the core is swept in degree-descending order, so the
+	// per-vertex reads of its hub rows share a few cache lines instead of
+	// following the input's first-seen order (DESIGN §6.6).
+	core, origID, err := core.Relabel(graph.DegreePerm(core))
+	if err != nil {
+		panic("bc: " + err.Error()) // unreachable: DegreePerm is a permutation
+	}
+	par.For(len(origID), func(c int) {
+		origID[c] = kept[origID[c]]
+		at[origID[c]] = int32(c) // at now renames core vertices: core id, by g id
+	})
 	pend := make([]float64, len(origID))
 	for v := int32(0); int(v) < n; v++ {
 		if p := parentOf(g, v); p >= 0 {

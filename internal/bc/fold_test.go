@@ -159,10 +159,15 @@ func TestFoldPendantAndParentBothDrawn(t *testing.T) {
 	if f == nil {
 		t.Fatal("forced fold declined")
 	}
-	// Core ids equal g ids here: the spine comes first.
+	// The core is degree-ordered, so sweeps name their sources in core
+	// ids; origID takes them back to g's.
+	got := make([]sweep, len(f.sweeps))
+	for i, sw := range f.sweeps {
+		got[i] = sweep{s: f.origID[sw.s], weight: sw.weight, leaves: sw.leaves}
+	}
 	want := []sweep{{s: 0, weight: 2, leaves: 2}, {s: 1, weight: 2, leaves: 1}, {s: 3, weight: 1}}
-	if !slices.Equal(f.sweeps, want) {
-		t.Fatalf("sweeps %v, want %v", f.sweeps, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("sweeps in g ids %v, want %v", got, want)
 	}
 	scale := float64(g.NumVertices()) / float64(len(sources))
 	for _, c := range []int{1, 2} {

@@ -337,9 +337,9 @@ func mustEdges(t testing.TB, n int, edges []graph.Edge, opt graph.Options) *grap
 }
 
 // adversarialShapes are the structures internal/bfs compares its engine
-// with its oracle on, at sizes where every source can be swept: each one
-// stresses one direction of the sweep or an edge case of the level
-// bookkeeping.
+// with its oracle on, at sizes where every source can be swept, plus
+// upDownUp: each one stresses one direction of the sweep or an edge case
+// of the level bookkeeping.
 func adversarialShapes(t testing.TB) map[string]*graph.Graph {
 	tiny := make([]*graph.Graph, 0, 400)
 	for i := 0; i < 200; i++ {
@@ -356,6 +356,7 @@ func adversarialShapes(t testing.TB) map[string]*graph.Graph {
 		"tiny-components":       gen.Disjoint(tiny...),
 		"isolated-source":       mustEdges(t, 6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, graph.Options{}),
 		"loops-and-multi-edges": mustEdges(t, 256, noisy, graph.Options{KeepSelfLoops: true, KeepDuplicates: true}),
+		"up-down-up":            upDownUp(t, 1),
 	}
 }
 
@@ -428,6 +429,153 @@ func TestHybridSweepTakesBottomUpLevels(t *testing.T) {
 	// survives reset.
 	if ws.bottomUps == 0 {
 		t.Fatal("no level ran bottom-up on a dense graph; thresholds broken?")
+	}
+}
+
+// upDownUp is built so a sweep from vertex 0 runs a bottom-up level, then
+// a top-down one, then bottom-up again, and the second bottom-up level
+// walks an unvisited list that still holds the ids the top-down level
+// reached: 0's 120 neighbours (A, dense among themselves) find, bottom-up,
+// two vertices (B) adjacent to all of them; B's two-vertex frontier is
+// under n/β, so they find, top-down, 250 vertices (C) that touch both and
+// each other; C then finds 100 leaves (D) bottom-up. The ids are shuffled
+// so the stale C ids lie scattered through the list.
+func upDownUp(t testing.TB, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	const a, b, c, d = 120, 2, 250, 100
+	id := rng.Perm(1 + a + b + c + d)
+	for i, v := range id {
+		if v == 0 {
+			id[0], id[i] = id[i], id[0] // keep the source at 0
+		}
+	}
+	A, B, C, D := 1, 1+a, 1+a+b, 1+a+b+c
+	var edges []graph.Edge
+	arc := func(u, v int) { edges = append(edges, graph.Edge{U: int32(id[u]), V: int32(id[v])}) }
+	for i := range a {
+		arc(0, A+i)
+		for range 6 {
+			arc(A+i, A+rng.Intn(a))
+		}
+		for j := range b {
+			arc(A+i, B+j)
+		}
+	}
+	for i := range c {
+		for j := range b {
+			arc(B+j, C+i)
+		}
+		for range 4 {
+			arc(C+i, C+rng.Intn(c))
+		}
+	}
+	for i := range d {
+		for range 1 + rng.Intn(2) {
+			arc(D+i, C+rng.Intn(c))
+		}
+	}
+	return mustEdges(t, len(id), edges, graph.Options{})
+}
+
+// upDownUpPath reports whether levels, a sweep's levelAsc, has a level
+// found bottom-up, a later one found top-down and a later one again found
+// bottom-up: the second bottom-up level walked a list with stale ids.
+func upDownUpPath(levels []bool) bool {
+	stage := 0
+	for _, up := range levels[1:] {
+		if up == (stage != 1) {
+			stage++
+		}
+	}
+	return stage >= 3
+}
+
+// TestUnvisitedListDropsStaleIDs holds the sweep on upDownUp to the
+// top-down oracle with ==, every source in turn into one score array, after
+// checking that the sweep from vertex 0 takes the bottom-up → top-down →
+// bottom-up path the shape is built for.
+func TestUnvisitedListDropsStaleIDs(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g := upDownUp(t, seed)
+		ws := newWorkspace(g, 0)
+		ws.forwardSweep(g, 0)
+		if !upDownUpPath(ws.levelAsc) {
+			t.Fatalf("seed %d: levels found bottom-up %v; no top-down level between two bottom-up ones", seed, ws.levelAsc)
+		}
+		n := g.NumVertices()
+		sources := make([]int32, n)
+		for v := range sources {
+			sources[v] = int32(v)
+		}
+		got, want := unfoldedFor(g, sources, 1), topDownCentrality(g)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("seed %d, v=%d: %v, want top-down's bit-identical %v", seed, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// TestBottomUpLevelsWalkUnvisited guards against the bottom-up levels
+// silently going back to walking every id, or keeping ids they no longer
+// need (either would pass the equivalence tests while losing the
+// optimization): over sweeps from the degree-ordered R-MAT 12's hubs and
+// from upDownUp's vertex 0, the ids they examine (the upIDs probe) must
+// stay within n for each sweep's first bottom-up level plus, for each
+// later one, the ids still unvisited when the bottom-up level before it
+// ended — the ids unvisited at its start, unless a top-down level ran
+// between the two.
+func TestBottomUpLevelsWalkUnvisited(t *testing.T) {
+	rmat, _, err := graph.Layout{Reorder: graph.ReorderDegree}.Apply(gen.RMAT(gen.PaperRMAT(12, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		g       *graph.Graph
+		sources int32
+	}{
+		"rmat12-hubs": {rmat, 16},
+		"up-down-up":  {upDownUp(t, 1), 1},
+	} {
+		g := c.g
+		n := int64(g.NumVertices())
+		ws := newWorkspace(g, 0)
+		var bound, everyID int64
+		for s := int32(0); s < c.sources; s++ {
+			ups := ws.bottomUps
+			ws.forwardSweep(g, s)
+			// ends holds, per bottom-up level, the ids visited when it
+			// ended; a last one that found nothing ends where the sweep does.
+			var ends []int64
+			for i := 1; i < len(ws.levelStart); i++ {
+				if !ws.levelAsc[i] {
+					continue
+				}
+				end := int64(len(ws.order))
+				if i+1 < len(ws.levelStart) {
+					end = int64(ws.levelStart[i+1])
+				}
+				ends = append(ends, end)
+			}
+			if ws.bottomUps-ups > len(ends) {
+				ends = append(ends, int64(len(ws.order)))
+			}
+			for j := range ends {
+				if j == 0 {
+					bound += n
+				} else {
+					bound += n - ends[j-1]
+				}
+			}
+			everyID += int64(len(ends)) * n
+			ws.reset()
+		}
+		if bound == everyID {
+			t.Fatalf("%s: no sweep ran two bottom-up levels; the test shows nothing", name)
+		}
+		if ws.upIDs > bound {
+			t.Fatalf("%s: bottom-up levels examined %d ids, want at most %d (walking every id: %d)", name, ws.upIDs, bound, everyID)
+		}
 	}
 }
 

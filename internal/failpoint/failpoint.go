@@ -41,6 +41,10 @@ const (
 	// body runs. An error becomes a 500; a panic exercises the per-kernel
 	// recover isolation.
 	KernelExec = "kernel.exec"
+	// ExpensiveExec fires right after KernelExec, for expensive-class
+	// kernels only (kcentrality, diameter). A delay there holds an
+	// expensive slot for a fixed time whatever the kernel itself costs.
+	ExpensiveExec = "kernel.exec.expensive"
 	// StreamApply fires at the top of stream.ApplyBatch, before any
 	// mutation, so an injected failure always leaves the stream unchanged.
 	StreamApply = "stream.apply"

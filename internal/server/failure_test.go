@@ -61,6 +61,26 @@ func TestKernelPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestExpensiveExecFailpoint pins the expensive-class seam: armed, it
+// fires for kcentrality and diameter, never for a cheap kernel.
+func TestExpensiveExecFailpoint(t *testing.T) {
+	armFailpoints(t, "kernel.exec.expensive=error(slow lane)*2")
+	_, ts, _ := newTestServer(t, Config{}, gen.Complete(4))
+
+	if status, _, body := get(t, ts.URL+"/graphs/g/components"); status != http.StatusOK {
+		t.Fatalf("cheap kernel: status %d body %s, want 200", status, body)
+	}
+	for _, path := range []string{"kcentrality?k=0", "diameter"} {
+		status, _, body := get(t, ts.URL+"/graphs/g/"+path)
+		if status != http.StatusInternalServerError || !bytes.Contains(body, []byte("slow lane")) {
+			t.Fatalf("%s: status %d body %s, want 500 from the failpoint", path, status, body)
+		}
+	}
+	if status, _, body := get(t, ts.URL+"/graphs/g/kcentrality?k=0"); status != http.StatusOK {
+		t.Fatalf("budget spent: status %d body %s, want 200", status, body)
+	}
+}
+
 // TestBreakerTripsOverHTTP drives a kernel into repeated injected
 // failures until the circuit breaker answers 503 without executing, then
 // lets the cooldown probe heal it.

@@ -330,7 +330,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 			s.beforeKernel(kernel)
 		}
 		start := time.Now()
-		res, err := s.runKernel(ctx, run)
+		res, err := s.runKernel(ctx, class, run)
 		s.metrics.ObserveLatency(kernel, time.Since(start))
 		if err != nil {
 			return nil, err

@@ -226,11 +226,11 @@ func vertexParam(q url.Values, name string, n int) (int32, error) {
 // by the per-kernel recover; it maps to HTTP 500 instead of a dead daemon.
 var errKernelPanic = errors.New("kernel panicked")
 
-// runKernel executes one kernel with panic isolation: a panicking kernel
-// (organic or injected via the kernel.exec failpoint) is converted into
-// an error on this request alone, counted in kernel_panics, and the
-// daemon keeps serving.
-func (s *Server) runKernel(ctx context.Context, run kernelRun) (res any, err error) {
+// runKernel executes one kernel of the given cost class with panic
+// isolation: a panicking kernel (organic or injected via the kernel.exec
+// or kernel.exec.expensive failpoint) is converted into an error on this
+// request alone, counted in kernel_panics, and the daemon keeps serving.
+func (s *Server) runKernel(ctx context.Context, class string, run kernelRun) (res any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.KernelPanics.Add(1)
@@ -239,6 +239,11 @@ func (s *Server) runKernel(ctx context.Context, run kernelRun) (res any, err err
 	}()
 	if err := failpoint.Eval(failpoint.KernelExec); err != nil {
 		return nil, err
+	}
+	if class == ClassExpensive {
+		if err := failpoint.Eval(failpoint.ExpensiveExec); err != nil {
+			return nil, err
+		}
 	}
 	return run(ctx)
 }
