@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"graphct/internal/graph"
 	"graphct/internal/par"
+	"graphct/internal/rank"
 )
 
 // This file implements adaptive approximate betweenness centrality with an
@@ -261,31 +261,19 @@ func (est *adaptiveEstimator) run(ctx context.Context) (*ApproxResult, error) {
 // or scheduling order.
 func (est *adaptiveEstimator) sampleRange(ctx context.Context, from, to int) error {
 	count := to - from
-	nw := len(est.ws)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := from + count*w/nw
-		hi := from + count*(w+1)/nw
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			ws := est.ws[w]
-			for i := lo; i < hi; i++ {
-				// A single sample is one truncated bidirectional BFS —
-				// microseconds to low milliseconds — so per-sample checks
-				// keep post-cancel latency far inside the 500ms budget.
-				if i&15 == 0 && ctx.Err() != nil {
-					est.errs[w] = ctx.Err()
-					return
-				}
-				est.samplePair(ws, int64(i))
+	par.ForWorkers(len(est.ws), func(w, nw int) {
+		ws := est.ws[w]
+		for i := from + count*w/nw; i < from+count*(w+1)/nw; i++ {
+			// A single sample is one truncated bidirectional BFS —
+			// microseconds to low milliseconds — so per-sample checks
+			// keep post-cancel latency far inside the 500ms budget.
+			if i&15 == 0 && ctx.Err() != nil {
+				est.errs[w] = ctx.Err()
+				return
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			est.samplePair(ws, int64(i))
+		}
+	})
 	for w := range est.errs {
 		if est.errs[w] != nil {
 			return est.errs[w]
@@ -341,10 +329,7 @@ func (est *adaptiveEstimator) converged(t int) bool {
 // (its upper bound lies below the k-th largest lower bound, so at least k
 // vertices beat it with the run's confidence).
 func (est *adaptiveEstimator) convergedTopK(tf, radH float64) bool {
-	k := est.topK
-	if k > est.n {
-		k = est.n
-	}
+	k := min(est.topK, est.n)
 	rad := func(c int64) float64 {
 		p := float64(c) / tf
 		radB := math.Sqrt(2*p*(1-p)*est.lnB/tf) + 3*est.lnB/tf
@@ -353,45 +338,12 @@ func (est *adaptiveEstimator) convergedTopK(tf, radH float64) bool {
 		}
 		return radH
 	}
-	// k-th largest lower bound via a bounded min-heap, the TopK idiom.
-	heap := make([]float64, 0, k)
-	siftDown := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(heap) {
-				return
-			}
-			m := l
-			if r := l + 1; r < len(heap) && heap[r] < heap[l] {
-				m = r
-			}
-			if heap[m] >= heap[i] {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
+	// k-th largest lower bound.
+	lbs := make([]float64, est.n)
+	for v, c := range est.counts {
+		lbs[v] = float64(c)/tf - rad(c)
 	}
-	for _, c := range est.counts {
-		lb := float64(c)/tf - rad(c)
-		if len(heap) < k {
-			heap = append(heap, lb)
-			for i := len(heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if heap[i] >= heap[p] {
-					break
-				}
-				heap[i], heap[p] = heap[p], heap[i]
-				i = p
-			}
-			continue
-		}
-		if lb > heap[0] {
-			heap[0] = lb
-			siftDown(0)
-		}
-	}
-	lbK := heap[0]
+	lbK := lbs[rank.Top(lbs, k)[k-1]]
 	for _, c := range est.counts {
 		r := rad(c)
 		if r <= est.eps {
@@ -405,99 +357,38 @@ func (est *adaptiveEstimator) convergedTopK(tf, radH float64) bool {
 	return true
 }
 
-// searchSide is one direction of the bidirectional search.
-type searchSide struct {
-	dist  []int32
-	sigma []float64
-	order []int32 // labeled vertices in label order (reset bookkeeping)
-	front int     // index into order where the current frontier begins
-	level int32   // completed levels: sigma is final for dist ≤ level
-}
-
-func (sd *searchSide) init(v int32) {
-	sd.dist[v] = 0
-	sd.sigma[v] = 1
-	sd.order = append(sd.order, v)
-	sd.front = 0
-	sd.level = 0
-}
-
-func (sd *searchSide) reset() {
-	for _, v := range sd.order {
-		sd.dist[v] = -1
-		sd.sigma[v] = 0
-	}
-	sd.order = sd.order[:0]
-	sd.front = 0
-	sd.level = 0
-}
-
-// frontierEdges is the expansion cost of the side's current frontier.
-func (sd *searchSide) frontierEdges(g *graph.Graph) int64 {
-	var e int64
-	for _, u := range sd.order[sd.front:] {
-		e += int64(g.Degree(u))
-	}
-	return e
-}
-
-// pairWorkspace holds one worker's per-sample state. Arrays are kept
-// clean between samples by resetting only the vertices a sample touched,
-// the same discipline as the Brandes workspace.
+// pairWorkspace holds one worker's per-sample state: a search from each
+// end of the pair, each advanced by Brandes' top-down level step.
 type pairWorkspace struct {
-	f, b   searchSide
+	f, b   search
 	meets  []int32 // vertices labeled by both sides, in second-label order
 	counts []int64 // worker-local interior-hit counts
+	levels int64   // levels the sides expanded; survives reset (bench probe)
 }
 
 func newPairWorkspace(n int) *pairWorkspace {
-	ws := &pairWorkspace{counts: make([]int64, n)}
-	for _, sd := range []*searchSide{&ws.f, &ws.b} {
-		sd.dist = make([]int32, n)
-		for i := range sd.dist {
-			sd.dist[i] = -1
-		}
-		sd.sigma = make([]float64, n)
-		sd.order = make([]int32, 0, n)
-	}
-	return ws
+	return &pairWorkspace{f: newSearch(n, 1), b: newSearch(n, 1), counts: make([]int64, n)}
 }
 
+// reset unlabels only the vertices the last sample labeled, however much
+// of the graph the sides reached. Brandes' reset clears five arrays per
+// vertex, or all 44·n bytes once a search passes n/2; the sampler ran at
+// half speed on it on R-MAT 16 (DESIGN §13.1).
 func (ws *pairWorkspace) reset() {
-	ws.f.reset()
-	ws.b.reset()
+	for _, sd := range [2]*search{&ws.f, &ws.b} {
+		for _, v := range sd.order {
+			sd.dist[v] = -1
+			sd.sigma[v] = 0
+		}
+		sd.order = sd.order[:0]
+		sd.levelStart = sd.levelStart[:0]
+	}
 	ws.meets = ws.meets[:0]
 }
 
-// expandLevel grows side x by one level, accumulating path counts and
-// recording vertices that become labeled by both sides ("meets"). Returns
-// the updated minimum distF+distB over newly met vertices.
-func (ws *pairWorkspace) expandLevel(g *graph.Graph, x, y *searchSide, minSum int32) int32 {
-	frontier := x.order[x.front:]
-	x.front = len(x.order)
-	next := x.level + 1
-	for _, u := range frontier {
-		su := x.sigma[u]
-		for _, v := range g.Neighbors(u) {
-			switch x.dist[v] {
-			case -1:
-				x.dist[v] = next
-				x.sigma[v] = su
-				x.order = append(x.order, v)
-				if y.dist[v] >= 0 {
-					ws.meets = append(ws.meets, v)
-					if sum := next + y.dist[v]; sum < minSum {
-						minSum = sum
-					}
-				}
-			case next:
-				x.sigma[v] += su
-			}
-		}
-	}
-	x.level = next
-	return minSum
-}
+// depth is the number of levels a side has expanded: sigma is final for
+// dist ≤ depth.
+func (sr *search) depth() int32 { return int32(len(sr.levelStart) - 1) }
 
 // bidirSample samples one uniform shortest s→t path and increments
 // ws.counts for its interior vertices; disconnected pairs contribute
@@ -505,35 +396,45 @@ func (ws *pairWorkspace) expandLevel(g *graph.Graph, x, y *searchSide, minSum in
 // caller guarantees.
 func bidirSample(g *graph.Graph, ws *pairWorkspace, s, t int32, rng *sm64) {
 	defer ws.reset()
-	ws.f.init(s)
-	ws.b.init(t)
+	ws.f.start(s)
+	ws.b.start(t)
 	const noMeet = int32(math.MaxInt32)
 	minSum := noMeet
 	for {
-		if ws.f.front == len(ws.f.order) || ws.b.front == len(ws.b.order) {
+		x, y := &ws.f, &ws.b
+		frontier, other := x.frontier(), y.frontier()
+		if len(frontier) == 0 || len(other) == 0 {
 			return // a side exhausted its component without meeting: no path
 		}
-		// Balanced expansion: grow the cheaper frontier.
-		if ws.f.frontierEdges(g) <= ws.b.frontierEdges(g) {
-			minSum = ws.expandLevel(g, &ws.f, &ws.b, minSum)
-		} else {
-			minSum = ws.expandLevel(g, &ws.b, &ws.f, minSum)
+		// Balanced expansion: grow the cheaper frontier, top-down only.
+		if rowArcs(g, frontier) > rowArcs(g, other) {
+			x, y, frontier = y, x, other
+		}
+		end := len(x.order)
+		x.topDownLevel(g, frontier)
+		x.levelStart = append(x.levelStart, end)
+		ws.levels++
+		next := x.depth()
+		// The meets are the new level's vertices the other side labeled,
+		// in discovery order.
+		for _, v := range x.order[end:] {
+			if dy := y.dist[v]; dy >= 0 {
+				ws.meets = append(ws.meets, v)
+				minSum = min(minSum, next+dy)
+			}
 		}
 		// Once the completed levels cover a meeting sum, that sum is
 		// exactly d(s,t): any shorter path would have produced a meet
 		// with a smaller (true-distance) sum already.
-		if minSum <= ws.f.level+ws.b.level {
+		if minSum <= ws.f.depth()+ws.b.depth() {
 			break
 		}
 	}
 	d := minSum
 	// Split level: count paths through vertices at forward distance c and
-	// backward distance d-c. c ≤ f.level and d-c ≤ b.level hold by the
+	// backward distance d-c. c ≤ f.depth() and d-c ≤ b.depth() hold by the
 	// stopping condition, so both sides' σ are final at the split.
-	c := d - ws.b.level
-	if c < 0 {
-		c = 0
-	}
+	c := max(d-ws.b.depth(), 0)
 	var sigTot float64
 	for _, v := range ws.meets {
 		if ws.f.dist[v] == c && ws.b.dist[v] == d-c {
@@ -563,7 +464,7 @@ func bidirSample(g *graph.Graph, ws *pairWorkspace, s, t int32, rng *sm64) {
 // predecessor with probability σ(pred)/σ(cur) and scoring the interior
 // vertices it lands on (levels level-1 … 1; the root itself is an
 // endpoint, never interior).
-func (ws *pairWorkspace) backtrack(g *graph.Graph, sd *searchSide, m, level int32, rng *sm64) {
+func (ws *pairWorkspace) backtrack(g *graph.Graph, sd *search, m, level int32, rng *sm64) {
 	cur := m
 	for j := level; j > 1; j-- {
 		x := rng.float64() * sd.sigma[cur]

@@ -33,6 +33,12 @@
 // pushing from the next-deeper level's rows, whichever reads fewer arcs;
 // both add each vertex's successor terms in ascending id, so a source's
 // dependencies are bit-identical to the pull-only sweep's either way.
+//
+// The adaptive (ε,δ) estimator (adaptive.go) samples vertex pairs, not
+// sources. Its two searches, one from each end of a pair, run on the
+// forward sweep's top-down level step (the search type) and stay
+// top-down: a bottom-up step bought nothing on the batch graphs (DESIGN
+// §13.1). Every top-k ranking goes through rank.Top.
 package bc
 
 import (
@@ -42,6 +48,7 @@ import (
 
 	"graphct/internal/graph"
 	"graphct/internal/par"
+	"graphct/internal/rank"
 )
 
 // MaxK is the largest supported k for k-betweenness centrality. Beyond
@@ -225,68 +232,7 @@ func sampleSources(n, samples int, seed int64) []int32 {
 }
 
 // TopK returns the indices of the k highest-scoring vertices in descending
-// score order (ties broken by vertex id for determinism). Selection is a
-// bounded min-heap over the k best seen so far — O(n log k) instead of
-// sorting all n scores, which matters when a server request wants the top
-// 10 of a multi-million-vertex graph.
+// score order, ties broken by vertex id (rank.Top).
 func (r *Result) TopK(k int) []int32 {
-	scores := r.Scores
-	n := len(scores)
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return []int32{}
-	}
-	// worse orders by eviction priority: lowest score first, highest id
-	// first among ties, so the heap root is always the candidate to drop.
-	worse := func(a, b int32) bool {
-		if scores[a] != scores[b] {
-			return scores[a] < scores[b]
-		}
-		return a > b
-	}
-	heap := make([]int32, 0, k)
-	siftDown := func(i, size int) {
-		for {
-			l := 2*i + 1
-			if l >= size {
-				return
-			}
-			m := l
-			if rt := l + 1; rt < size && worse(heap[rt], heap[l]) {
-				m = rt
-			}
-			if !worse(heap[m], heap[i]) {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	for v := int32(0); int(v) < n; v++ {
-		if len(heap) < k {
-			heap = append(heap, v)
-			for i := len(heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if !worse(heap[i], heap[p]) {
-					break
-				}
-				heap[i], heap[p] = heap[p], heap[i]
-				i = p
-			}
-			continue
-		}
-		if worse(heap[0], v) {
-			heap[0] = v
-			siftDown(0, k)
-		}
-	}
-	// Heap-sort extraction: repeatedly move the worst survivor to the
-	// back, leaving best-to-worst order in place.
-	for size := k - 1; size > 0; size-- {
-		heap[0], heap[size] = heap[size], heap[0]
-		siftDown(0, size)
-	}
-	return heap
+	return rank.Top(r.Scores, k)
 }

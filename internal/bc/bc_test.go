@@ -2,6 +2,7 @@ package bc
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -472,6 +473,12 @@ func TestTopK(t *testing.T) {
 	}
 	if got := r.TopK(0); len(got) != 0 {
 		t.Fatalf("TopK(0): %v", got)
+	}
+	// A NaN met first must not hold a place a score should have: NaN
+	// ranks below every number.
+	nan := &Result{Scores: []float64{math.NaN(), 2, 1}}
+	if got := nan.TopK(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("TopK with a NaN = %v, want [1 2]", got)
 	}
 }
 

@@ -8,6 +8,50 @@ import (
 	"graphct/internal/graph"
 )
 
+// search is what one top-down level step reads and writes: a
+// level-synchronous search's hop distances (-1 unlabeled), path counts,
+// the vertices labeled so far in label order and the offsets into order
+// where each level begins. It holds 16·n bytes plus the offsets. The
+// Brandes workspace embeds one, and the adaptive sampler runs one from
+// each end of a pair (adaptive.go).
+type search struct {
+	dist       []int32
+	sigma      []float64 // the workspace keeps k-BC's slack columns after the first n
+	order      []int32
+	levelStart []int
+}
+
+// newSearch sizes a search over n vertices with cols path-count columns.
+func newSearch(n, cols int) search {
+	sr := search{dist: make([]int32, n), sigma: make([]float64, n*cols), order: make([]int32, 0, n)}
+	for i := range sr.dist {
+		sr.dist[i] = -1
+	}
+	return sr
+}
+
+// start labels the root s: level 0, one path.
+func (sr *search) start(s int32) {
+	sr.dist[s] = 0
+	sr.sigma[s] = 1
+	sr.order = append(sr.order, s)
+	sr.levelStart = append(sr.levelStart, 0)
+}
+
+// frontier is the last level begun.
+func (sr *search) frontier() []int32 {
+	return sr.order[sr.levelStart[len(sr.levelStart)-1]:]
+}
+
+// rowArcs sums the row lengths of vs.
+func rowArcs(g *graph.Graph, vs []int32) int64 {
+	var arcs int64
+	for _, v := range vs {
+		arcs += int64(g.Degree(v))
+	}
+	return arcs
+}
+
 // workspace holds the per-source O(n) arrays. One workspace belongs to one
 // concurrency slot, which bounds total memory at O(S·(m+n)) for S in-flight
 // sources, matching the paper's memory model. Arrays are kept clean between
@@ -19,20 +63,17 @@ import (
 // which dense arrays pack 16-per-cache-line into L1 — measured faster
 // than interleaving, which only pays off when every field access misses.
 type workspace struct {
-	n, k       int
-	dist       []int32
-	sigma      []float64 // path counts; slack column j at [j·n, (j+1)·n)
-	delta      []float64 // dependencies; same columns as sigma
-	sigTot     []float64 // per-vertex total short-path count (k > 0 only)
-	order      []int32   // visitation order of the last search
-	levelStart []int     // offsets into order where each BFS level begins
-	levelArcs  []int64   // arcs in each level's rows
-	levelAsc   []bool    // level found bottom-up, so its order segment is ascending
-	acc        []float64 // push accumulators of the backward sweep (k = 0 only)
-	unvisited  []int32   // ids the last bottom-up level left unvisited, ascending
-	bottomUps  int       // levels discovered pull-style; survives reset (test sentinel)
-	upIDs      int64     // ids the bottom-up levels examined; survives reset (test and bench probe)
-	backArcs   int64     // arcs the backward sweeps read; survives reset (test and bench probe)
+	search    // dist, sigma (slack column j at [j·n, (j+1)·n)), order, levelStart
+	n, k      int
+	delta     []float64 // dependencies; same columns as sigma
+	sigTot    []float64 // per-vertex total short-path count (k > 0 only)
+	levelArcs []int64   // arcs in each level's rows
+	levelAsc  []bool    // level found bottom-up, so its order segment is ascending
+	acc       []float64 // push accumulators of the backward sweep (k = 0 only)
+	unvisited []int32   // ids the last bottom-up level left unvisited, ascending
+	bottomUps int       // levels discovered pull-style; survives reset (test sentinel)
+	upIDs     int64     // ids the bottom-up levels examined; survives reset (test and bench probe)
+	backArcs  int64     // arcs the backward sweeps read; survives reset (test and bench probe)
 	// pend[v] counts the pendants folded into v (fold.go); nil on an
 	// unfolded graph. It is shared read-only by every slot of a run.
 	pend []float64
@@ -42,16 +83,11 @@ type workspace struct {
 func newWorkspace(g *graph.Graph, k int) *workspace {
 	n := g.NumVertices()
 	ws := &workspace{
-		n: n, k: k,
-		dist:      make([]int32, n),
-		sigma:     make([]float64, n*(k+1)),
+		search: newSearch(n, k+1),
+		n:      n, k: k,
 		delta:     make([]float64, n*(k+1)),
 		sigTot:    make([]float64, n),
-		order:     make([]int32, 0, n),
 		unvisited: make([]int32, 0, n),
-	}
-	for i := range ws.dist {
-		ws.dist[i] = -1
 	}
 	if k == 0 {
 		ws.acc = make([]float64, n)
@@ -125,20 +161,14 @@ func brandesSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 // vertex's own adjacency as its in-neighbors, so g must be undirected;
 // every caller projects directed input first.
 func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
-	ws.dist[s] = 0
-	ws.sigma[s] = 1
-	ws.order = append(ws.order, s)
-	ws.levelStart = append(ws.levelStart, 0)
+	ws.start(s)
 	ws.levelAsc = append(ws.levelAsc, true)
-	frontier := ws.order[0:1]
+	frontier := ws.frontier()
 	n := int64(g.NumVertices())
 	remaining := g.NumArcs()
 	listed := false
 	for len(frontier) > 0 {
-		var frontierEdges int64
-		for _, u := range frontier {
-			frontierEdges += int64(g.Degree(u))
-		}
+		frontierEdges := rowArcs(g, frontier)
 		remaining -= frontierEdges
 		ws.levelArcs = append(ws.levelArcs, frontierEdges)
 		frontierEnd := len(ws.order)
@@ -159,16 +189,17 @@ func (ws *workspace) forwardSweep(g *graph.Graph, s int32) {
 }
 
 // topDownLevel expands the frontier push-style: the classic Brandes step,
-// O(frontier out-edges).
-func (ws *workspace) topDownLevel(g *graph.Graph, frontier []int32) {
-	dist, sigma := ws.dist, ws.sigma
+// O(frontier out-edges). It appends the level it discovers to order, in
+// discovery order; the caller records the level's offset.
+func (sr *search) topDownLevel(g *graph.Graph, frontier []int32) {
+	dist, sigma := sr.dist, sr.sigma
 	for _, u := range frontier {
 		du := dist[u]
 		su := sigma[u]
 		for _, v := range g.Neighbors(u) {
 			if dist[v] == -1 {
 				dist[v] = du + 1
-				ws.order = append(ws.order, v)
+				sr.order = append(sr.order, v)
 			}
 			if dist[v] == du+1 {
 				sigma[v] += su

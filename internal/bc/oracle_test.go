@@ -3,7 +3,9 @@ package bc
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphct/internal/cc"
@@ -774,5 +776,290 @@ func TestBackwardSweepPushesHubLevels(t *testing.T) {
 	}
 	if 2*ws.backArcs > rows {
 		t.Fatalf("backward sweeps read %d of %d row arcs; hub levels not pushed?", ws.backArcs, rows)
+	}
+}
+
+// oracleSide, oraclePairs and oracleBidirSample are the adaptive sampler
+// this package shipped before its two searches ran on Brandes' top-down
+// level step, kept verbatim (renamed) as the reference bidirSample must
+// match to the bit: the same meets in the same order, so the same drawn
+// path and the same counts.
+//
+// oracleSide is one direction of the bidirectional search.
+type oracleSide struct {
+	dist  []int32
+	sigma []float64
+	order []int32 // labeled vertices in label order (reset bookkeeping)
+	front int     // index into order where the current frontier begins
+	level int32   // completed levels: sigma is final for dist ≤ level
+}
+
+func (sd *oracleSide) init(v int32) {
+	sd.dist[v] = 0
+	sd.sigma[v] = 1
+	sd.order = append(sd.order, v)
+	sd.front = 0
+	sd.level = 0
+}
+
+func (sd *oracleSide) reset() {
+	for _, v := range sd.order {
+		sd.dist[v] = -1
+		sd.sigma[v] = 0
+	}
+	sd.order = sd.order[:0]
+	sd.front = 0
+	sd.level = 0
+}
+
+// frontierEdges is the expansion cost of the side's current frontier.
+func (sd *oracleSide) frontierEdges(g *graph.Graph) int64 {
+	var e int64
+	for _, u := range sd.order[sd.front:] {
+		e += int64(g.Degree(u))
+	}
+	return e
+}
+
+// oraclePairs holds one worker's per-sample state. Arrays are kept
+// clean between samples by resetting only the vertices a sample touched,
+// the same discipline as the Brandes workspace.
+type oraclePairs struct {
+	f, b   oracleSide
+	meets  []int32 // vertices labeled by both sides, in second-label order
+	counts []int64 // worker-local interior-hit counts
+}
+
+func newOraclePairs(n int) *oraclePairs {
+	ws := &oraclePairs{counts: make([]int64, n)}
+	for _, sd := range []*oracleSide{&ws.f, &ws.b} {
+		sd.dist = make([]int32, n)
+		for i := range sd.dist {
+			sd.dist[i] = -1
+		}
+		sd.sigma = make([]float64, n)
+		sd.order = make([]int32, 0, n)
+	}
+	return ws
+}
+
+func (ws *oraclePairs) reset() {
+	ws.f.reset()
+	ws.b.reset()
+	ws.meets = ws.meets[:0]
+}
+
+// expandLevel grows side x by one level, accumulating path counts and
+// recording vertices that become labeled by both sides ("meets"). Returns
+// the updated minimum distF+distB over newly met vertices.
+func (ws *oraclePairs) expandLevel(g *graph.Graph, x, y *oracleSide, minSum int32) int32 {
+	frontier := x.order[x.front:]
+	x.front = len(x.order)
+	next := x.level + 1
+	for _, u := range frontier {
+		su := x.sigma[u]
+		for _, v := range g.Neighbors(u) {
+			switch x.dist[v] {
+			case -1:
+				x.dist[v] = next
+				x.sigma[v] = su
+				x.order = append(x.order, v)
+				if y.dist[v] >= 0 {
+					ws.meets = append(ws.meets, v)
+					if sum := next + y.dist[v]; sum < minSum {
+						minSum = sum
+					}
+				}
+			case next:
+				x.sigma[v] += su
+			}
+		}
+	}
+	x.level = next
+	return minSum
+}
+
+// oracleBidirSample samples one uniform shortest s→t path and increments
+// ws.counts for its interior vertices; disconnected pairs contribute
+// nothing. The graph must be undirected (adjacency symmetric), which the
+// caller guarantees.
+func oracleBidirSample(g *graph.Graph, ws *oraclePairs, s, t int32, rng *sm64) {
+	defer ws.reset()
+	ws.f.init(s)
+	ws.b.init(t)
+	const noMeet = int32(math.MaxInt32)
+	minSum := noMeet
+	for {
+		if ws.f.front == len(ws.f.order) || ws.b.front == len(ws.b.order) {
+			return // a side exhausted its component without meeting: no path
+		}
+		// Balanced expansion: grow the cheaper frontier.
+		if ws.f.frontierEdges(g) <= ws.b.frontierEdges(g) {
+			minSum = ws.expandLevel(g, &ws.f, &ws.b, minSum)
+		} else {
+			minSum = ws.expandLevel(g, &ws.b, &ws.f, minSum)
+		}
+		// Once the completed levels cover a meeting sum, that sum is
+		// exactly d(s,t): any shorter path would have produced a meet
+		// with a smaller (true-distance) sum already.
+		if minSum <= ws.f.level+ws.b.level {
+			break
+		}
+	}
+	d := minSum
+	// Split level: count paths through vertices at forward distance c and
+	// backward distance d-c. c ≤ f.level and d-c ≤ b.level hold by the
+	// stopping condition, so both sides' σ are final at the split.
+	c := d - ws.b.level
+	if c < 0 {
+		c = 0
+	}
+	var sigTot float64
+	for _, v := range ws.meets {
+		if ws.f.dist[v] == c && ws.b.dist[v] == d-c {
+			sigTot += ws.f.sigma[v] * ws.b.sigma[v]
+		}
+	}
+	// Draw the meeting vertex with probability σF·σB/σst.
+	x := rng.float64() * sigTot
+	m := int32(-1)
+	for _, v := range ws.meets {
+		if ws.f.dist[v] == c && ws.b.dist[v] == d-c {
+			m = v
+			x -= ws.f.sigma[v] * ws.b.sigma[v]
+			if x < 0 {
+				break
+			}
+		}
+	}
+	if c > 0 && d-c > 0 {
+		ws.counts[m]++ // m is interior (neither s nor t)
+	}
+	ws.backtrack(g, &ws.f, m, c, rng)
+	ws.backtrack(g, &ws.b, m, d-c, rng)
+}
+
+// backtrack walks from the meeting vertex to the side's root, drawing each
+// predecessor with probability σ(pred)/σ(cur) and scoring the interior
+// vertices it lands on (levels level-1 … 1; the root itself is an
+// endpoint, never interior).
+func (ws *oraclePairs) backtrack(g *graph.Graph, sd *oracleSide, m, level int32, rng *sm64) {
+	cur := m
+	for j := level; j > 1; j-- {
+		x := rng.float64() * sd.sigma[cur]
+		pick := int32(-1)
+		for _, u := range g.Neighbors(cur) {
+			if sd.dist[u] == j-1 {
+				pick = u
+				x -= sd.sigma[u]
+				if x < 0 {
+					break
+				}
+			}
+		}
+		ws.counts[pick]++
+		cur = pick
+	}
+}
+
+// oracleSampleStep returns one estimator's sample step through the oracle
+// sampler: sample i draws its pair as samplePair does and adds its path
+// to pw.counts.
+func oracleSampleStep(est *adaptiveEstimator, pw *oraclePairs) func(i int64) {
+	return func(i int64) {
+		rng := sm64{state: deriveState(est.seed, i)}
+		n := int32(est.n)
+		s := rng.intn(n)
+		t := rng.intn(n - 1)
+		if t >= s {
+			t++
+		}
+		oracleBidirSample(est.g, pw, s, t, &rng)
+	}
+}
+
+// oracleApprox is ApproxCentrality run serially on the oracle sampler:
+// the same rounds, stopping rule and scaling as adaptiveEstimator.run.
+func oracleApprox(g *graph.Graph, opt ApproxOptions) *ApproxResult {
+	est := newAdaptiveEstimator(g, opt, opt.Epsilon, opt.Delta)
+	pw := newOraclePairs(est.n)
+	step := oracleSampleStep(est, pw)
+	t, rounds, stopped := 0, 0, false
+	for rounds < adaptiveMaxRounds {
+		target := min(max(2*t, adaptiveFirstRound), est.tMax)
+		for i := t; i < target; i++ {
+			step(int64(i))
+		}
+		copy(est.counts, pw.counts)
+		t = target
+		rounds++
+		if est.converged(t) {
+			stopped = t < est.tMax
+			break
+		}
+	}
+	scores := make([]float64, est.n)
+	scale := float64(est.n) * float64(est.n-1) / float64(t)
+	for v, c := range est.counts {
+		scores[v] = float64(c) * scale
+	}
+	return &ApproxResult{
+		Result: Result{Scores: scores},
+		Guarantee: Guarantee{
+			Epsilon: est.eps, Delta: est.delta,
+			SamplesUsed: t, Rounds: rounds, Stopped: stopped,
+		},
+	}
+}
+
+// TestBidirSampleMatchesOracle holds the sampler to the one it replaced,
+// to the bit: the worker counts after every sample, on the adversarial
+// shapes, R-MAT 12 and the Sept-1 ×0.01 component, and whole
+// ApproxCentrality runs (scores and guarantee, all vertices and top 10)
+// at one and two workers.
+func TestBidirSampleMatchesOracle(t *testing.T) {
+	graphs := adversarialShapes(t)
+	graphs["rmat12"] = gen.RMAT(gen.PaperRMAT(12, 1))
+	graphs["sept-0.01"] = septComponent(0.01)
+	for name, g := range graphs {
+		if g.Directed() {
+			g = g.Undirected()
+		}
+		n := g.NumVertices()
+		if n < 3 {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			est := newAdaptiveEstimator(g, ApproxOptions{Seed: 3, Concurrency: 1}, DefaultEpsilon, DefaultDelta)
+			ws := est.ws[0]
+			pw := newOraclePairs(n)
+			step := oracleSampleStep(est, pw)
+			for i := int64(0); i < 2000; i++ {
+				est.samplePair(ws, i)
+				step(i)
+				if !slices.Equal(ws.counts, pw.counts) {
+					t.Fatalf("counts differ from the oracle after sample %d", i)
+				}
+			}
+		})
+	}
+	for _, name := range []string{"rmat12", "sept-0.01", "loops-and-multi-edges"} {
+		g := graphs[name]
+		for _, topK := range []int{0, 10} {
+			opt := ApproxOptions{Epsilon: 0.02, Delta: 0.1, Seed: 5, TopK: topK}
+			want := oracleApprox(g, opt)
+			for _, c := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/top=%d/c=%d", name, topK, c), func(t *testing.T) {
+					opt.Concurrency = c
+					got := ApproxCentrality(g, opt)
+					if !slices.Equal(got.Scores, want.Scores) {
+						t.Fatal("scores differ from the oracle")
+					}
+					if got.Guarantee != want.Guarantee {
+						t.Fatalf("guarantee %+v, oracle %+v", got.Guarantee, want.Guarantee)
+					}
+				})
+			}
+		}
 	}
 }

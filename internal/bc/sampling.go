@@ -7,6 +7,7 @@ import (
 
 	"graphct/internal/cc"
 	"graphct/internal/graph"
+	"graphct/internal/rank"
 )
 
 // Sampling selects the source-sampling strategy for approximate
@@ -128,14 +129,9 @@ func sampleStratified(g *graph.Graph, samples int, seed int64) []int32 {
 }
 
 func sampleDegreeBiased(g *graph.Graph, samples int, seed int64) []int32 {
-	n := g.NumVertices()
 	rng := rand.New(rand.NewSource(seed))
-	type keyed struct {
-		v   int32
-		key float64
-	}
-	keys := make([]keyed, n)
-	for v := 0; v < n; v++ {
+	keys := make([]float64, g.NumVertices())
+	for v := range keys {
 		w := float64(g.Degree(int32(v)))
 		if w <= 0 {
 			// Zero-degree vertices contribute nothing to centrality;
@@ -143,12 +139,7 @@ func sampleDegreeBiased(g *graph.Graph, samples int, seed int64) []int32 {
 			// slots.
 			w = 1e-9
 		}
-		keys[v] = keyed{v: int32(v), key: math.Pow(rng.Float64(), 1/w)}
+		keys[v] = math.Pow(rng.Float64(), 1/w)
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].key > keys[b].key })
-	out := make([]int32, samples)
-	for i := 0; i < samples; i++ {
-		out[i] = keys[i].v
-	}
-	return out
+	return rank.Top(keys, samples)
 }

@@ -7,6 +7,7 @@ import (
 
 	"graphct/internal/bc"
 	"graphct/internal/graph"
+	"graphct/internal/rank"
 )
 
 // confidenceResult quantifies the run-to-run variability of sampled
@@ -71,22 +72,9 @@ func estimateWithConfidence(g *graph.Graph, opt bc.Options, realizations, topK i
 // mean score — a compact "how trustworthy are the headline ranks"
 // statistic. Vertices with zero mean are skipped.
 func (c *confidenceResult) coefficientOfVariation(k int) float64 {
-	idx := make([]int32, len(c.Mean))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if c.Mean[idx[a]] != c.Mean[idx[b]] {
-			return c.Mean[idx[a]] > c.Mean[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
 	var sum float64
 	used := 0
-	for _, v := range idx[:k] {
+	for _, v := range rank.Top(c.Mean, k) {
 		if c.Mean[v] > 0 {
 			sum += c.Std[v] / c.Mean[v]
 			used++

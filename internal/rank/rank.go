@@ -1,35 +1,82 @@
 // Package rank compares vertex rankings, implementing the paper's accuracy
 // metric for approximate betweenness centrality: the normalized top-N% set
 // Hamming distance between the actors ranked by exact and approximate
-// scores (after Fagin et al.'s top-k list comparison).
+// scores (after Fagin et al.'s top-k list comparison). Top is the one
+// top-k selection in the repository: betweenness's TopK, the adaptive
+// estimator's ranked stopping rule, the confidence experiment and the
+// most-mentioned handles all rank through it.
 package rank
 
 import (
+	"cmp"
 	"math"
 	"sort"
 )
 
-// Top returns the indices of the k highest scores, descending, ties broken
-// by ascending index so rankings are deterministic.
-func Top(scores []float64, k int) []int32 {
-	n := len(scores)
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
+// Top returns the indices of the k largest scores, descending, ties broken
+// by ascending index so rankings are deterministic. A NaN ranks below
+// every number, so it never displaces one. k is clamped to [0, len(scores)].
+//
+// Selection is a bounded min-heap over the k best seen so far: O(n log k)
+// instead of sorting all n scores, which matters when a server request
+// wants the top 10 of a multi-million-vertex graph.
+func Top[T cmp.Ordered](scores []T, k int) []int32 {
+	k = max(0, min(k, len(scores)))
+	// worse orders by eviction priority: lowest score first (cmp.Compare
+	// puts NaN below every number), highest index first among ties, so
+	// the heap root is always the candidate to drop.
+	worse := func(a, b int32) bool {
+		if c := cmp.Compare(scores[a], scores[b]); c != 0 {
+			return c < 0
 		}
-		return idx[a] < idx[b]
-	})
-	return idx[:k]
+		return a > b
+	}
+	heap := make([]int32, 0, k)
+	if k == 0 {
+		return heap
+	}
+	siftDown := func(i, size int) {
+		for {
+			l := 2*i + 1
+			if l >= size {
+				return
+			}
+			m := l
+			if r := l + 1; r < size && worse(heap[r], heap[l]) {
+				m = r
+			}
+			if !worse(heap[m], heap[i]) {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for v := int32(0); int(v) < len(scores); v++ {
+		if len(heap) < k {
+			heap = append(heap, v)
+			for i := len(heap) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !worse(heap[i], heap[p]) {
+					break
+				}
+				heap[i], heap[p] = heap[p], heap[i]
+				i = p
+			}
+			continue
+		}
+		if worse(heap[0], v) {
+			heap[0] = v
+			siftDown(0, k)
+		}
+	}
+	// Heap-sort extraction: repeatedly move the worst survivor to the
+	// back, leaving best-to-worst order in place.
+	for size := k - 1; size > 0; size-- {
+		heap[0], heap[size] = heap[size], heap[0]
+		siftDown(0, size)
+	}
+	return heap
 }
 
 // TopFraction returns the top ceil(frac*n) indices by score.

@@ -2,9 +2,139 @@ package rank
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// sortTop is Top as it was before it became a bounded heap: a full sort,
+// kept verbatim (renamed) as the oracle the heap must match on every
+// NaN-free input. sort.Slice leaves NaN order unspecified, so NaN cases
+// go through oracleTop.
+func sortTop(scores []float64, k int) []int32 {
+	n := len(scores)
+	if k < 0 {
+		k = 0
+	}
+	if k > n {
+		k = n
+	}
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if scores[idx[a]] != scores[idx[b]] {
+			return scores[idx[a]] > scores[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	return idx[:k]
+}
+
+// oracleTop is Top's contract spelled out: sortTop over the numbers, then
+// the NaNs in ascending index, cut at k.
+func oracleTop(scores []float64, k int) []int32 {
+	var nums []float64
+	var ids, nans []int32
+	for i, s := range scores {
+		if math.IsNaN(s) {
+			nans = append(nans, int32(i))
+			continue
+		}
+		nums = append(nums, s)
+		ids = append(ids, int32(i))
+	}
+	var out []int32
+	for _, j := range sortTop(nums, len(nums)) {
+		out = append(out, ids[j])
+	}
+	out = append(out, nans...)
+	return out[:max(0, min(k, len(out)))]
+}
+
+// topKs are the k values the pins try: out of range both ways, the
+// boundaries and the middle.
+func topKs(n int) []int {
+	return []int{-2, 0, 1, n / 2, n, n + 5}
+}
+
+// TestTopMatchesSort holds the heap to the sort it replaced on random
+// scores with heavy ties (at most eight distinct values, signed zeros
+// among them), for float64 and int64 scores alike.
+func TestTopMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(200)
+		scores := make([]float64, n)
+		ints := make([]int64, n)
+		for i := range scores {
+			ints[i] = int64(rng.Intn(8) - 4)
+			scores[i] = float64(ints[i])
+			if scores[i] == 0 && rng.Intn(2) == 0 {
+				scores[i] = math.Copysign(0, -1)
+			}
+		}
+		for _, k := range topKs(n) {
+			want := sortTop(scores, k)
+			if got := Top(scores, k); !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: Top = %v, sort = %v", n, k, got, want)
+			}
+			if got := Top(ints, k); !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: int64 Top = %v, sort = %v", n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestTopRanksNaNLast pins NaN below every number, -Inf included: a NaN
+// never displaces a number, and NaNs fill what is left by ascending index.
+func TestTopRanksNaNLast(t *testing.T) {
+	nan := math.NaN()
+	scores := []float64{nan, 1, nan, math.Inf(-1), 3, nan, -2}
+	if got, want := Top(scores, 2), []int32{4, 1}; !slices.Equal(got, want) {
+		t.Fatalf("Top(2) = %v, want %v", got, want)
+	}
+	if got, want := Top(scores, 6), []int32{4, 1, 6, 3, 0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("Top(6) = %v, want %v", got, want)
+	}
+	for _, k := range topKs(len(scores)) {
+		if got, want := Top(scores, k), oracleTop(scores, k); !slices.Equal(got, want) {
+			t.Fatalf("Top(%d) = %v, oracle %v", k, got, want)
+		}
+	}
+}
+
+// FuzzTopMatchesSort holds Top to oracleTop on fuzzed scores: each byte
+// is one score, 0xff a NaN and anything else one of eight values, so ties
+// are the rule. The int64 instance must give the NaN-free answer too.
+func FuzzTopMatchesSort(f *testing.F) {
+	f.Add([]byte{3, 0xff, 3, 1, 0xff, 7, 1}, 4)
+	f.Fuzz(func(t *testing.T, data []byte, k int) {
+		scores := make([]float64, len(data))
+		ints := make([]int64, 0, len(data))
+		for i, b := range data {
+			if b == 0xff {
+				scores[i] = math.NaN()
+				continue
+			}
+			scores[i] = float64(int(b%8) - 4)
+			ints = append(ints, int64(b%8)-4)
+		}
+		if got, want := Top(scores, k), oracleTop(scores, k); !slices.Equal(got, want) {
+			t.Fatalf("Top(%d) = %v, oracle %v", k, got, want)
+		}
+		nums := make([]float64, len(ints))
+		for i, v := range ints {
+			nums[i] = float64(v)
+		}
+		if got, want := Top(ints, k), sortTop(nums, k); !slices.Equal(got, want) {
+			t.Fatalf("int64 Top(%d) = %v, sort %v", k, got, want)
+		}
+	})
+}
 
 func TestTop(t *testing.T) {
 	scores := []float64{3, 9, 1, 9, 5}

@@ -1,9 +1,8 @@
 package tweets
 
 import (
-	"sort"
-
 	"graphct/internal/graph"
+	"graphct/internal/rank"
 )
 
 // GraphStats summarizes a tweet stream's interaction graph, providing the
@@ -115,18 +114,5 @@ func (ug *UserGraph) MentionCounts() (out, in []int64) {
 // the paper's "broadcast vertices" — media and government outlets.
 func (ug *UserGraph) TopMentioned(k int) []string {
 	_, in := ug.MentionCounts()
-	idx := make([]int32, len(in))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if in[idx[a]] != in[idx[b]] {
-			return in[idx[a]] > in[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return ug.Handles(idx[:k])
+	return ug.Handles(rank.Top(in, k))
 }
