@@ -37,23 +37,27 @@ import (
 // single-source sweep would, which is where the speedup over exact (and
 // over per-source sampling) comes from.
 //
-// Stopping rule. Samples run in geometrically growing rounds. After round
-// r with t cumulative samples, every vertex gets a confidence radius
+// Stopping rule. Samples run in rounds that grow the cumulative count
+// t by a quarter (256, 320, 400, 500, 625, …; t + ⌈t/4⌉), capped at tMax.
+// After each round, every vertex's count c gives p̂ = c/t and the
+// Chernoff–KL interval of Hoeffding (1963, Thm 1), valid for the mean of
+// any [0,1] samples: the q with t·KL(p̂‖q) ≤ L, where KL is the Bernoulli
+// divergence and L = ln(2/δ′). Each one-sided miss has probability at
+// most e^−L = δ′/2. A vertex passes when the interval lies within ε of
+// p̂ on both sides:
 //
-//	rad(v) = min( sqrt(2·p̂(1-p̂)·L/t) + 3·L/t ,  sqrt(H/(2t)) )
+//	(p̂+ε ≥ 1 or t·KL(p̂‖p̂+ε) ≥ L) and (p̂−ε ≤ 0 or t·KL(p̂‖p̂−ε) ≥ L)
 //
-// — the empirical-Bernstein bound (variance-adaptive, tight for the
-// many near-zero-score vertices) and the Hoeffding bound (p̂-free
-// worst case) — where L = ln(3/δ′), H = ln(2/δ′) and δ′ =
-// δ/(adaptiveMaxRounds·n) union-bounds the failure budget over every
-// (round, vertex) check the run can make. The run stops when rad(v) ≤ ε
-// for all v (or, with TopK, for every vertex that could still
-// belong to the top-k set). Because tMax = ⌈H/(2ε²)⌉ makes the Hoeffding
-// radius ≤ ε, the cap forces termination after O(log tMax) rounds, so
-// with probability ≥ 1−δ every score satisfies |Scores[v]/(n(n-1)) −
-// b(v)| ≤ ε whatever round the rule fired in. The statistical acceptance
-// test in stat_test.go checks this claim against exact BC instead of
-// trusting the algebra.
+// which needs no root-finding. The run stops when every vertex passes
+// (or, with TopK, every vertex that could still belong to the top-k set).
+// δ′ = δ/(R·n) union-bounds the failure budget over the R·n (round,
+// vertex) checks the schedule can make up to tMax = ⌈L/2ε²⌉, where
+// Pinsker's KL ≥ 2ε² makes every vertex pass, so the cap bounds the run.
+// R and tMax depend on each other through L; adaptiveCap takes the least
+// R that covers its own cap's rounds. So with probability ≥ 1−δ every
+// score satisfies |Scores[v]/(n(n-1)) − b(v)| ≤ ε whatever round the rule
+// fired in. The statistical acceptance test in stat_test.go checks this
+// claim against exact BC instead of trusting the algebra.
 
 const (
 	// DefaultEpsilon is the absolute-error bound used when
@@ -64,13 +68,9 @@ const (
 	// ApproxOptions.Delta is zero.
 	DefaultDelta = 0.1
 	// adaptiveFirstRound is the sample count of the first round; each
-	// later round doubles the cumulative total (capped at tMax).
+	// later round grows the cumulative total by a quarter (capped at
+	// tMax).
 	adaptiveFirstRound = 256
-	// adaptiveMaxRounds bounds how many stopping-rule checks a run can
-	// make; the δ budget is split evenly across them. 64 doublings from
-	// adaptiveFirstRound exceed any reachable tMax, so the cap never
-	// binds — it only makes the union bound finite.
-	adaptiveMaxRounds = 64
 )
 
 // Guarantee states the probabilistic error contract of an adaptive run:
@@ -110,8 +110,8 @@ type ApproxOptions struct {
 	// guarantee-covered vertex is within Epsilon. 0 means DefaultDelta.
 	Delta float64
 	// TopK relaxes the stopping rule to a ranked query: stop when every
-	// vertex either has radius ≤ Epsilon or provably cannot belong to the
-	// top-k set. 0 covers all vertices.
+	// vertex either has its interval within Epsilon or provably cannot
+	// belong to the top-k set. 0 covers all vertices.
 	TopK int
 	// Seed drives pair sampling.
 	Seed int64
@@ -164,7 +164,7 @@ func ApproxCentralityCtx(ctx context.Context, g *graph.Graph, opt ApproxOptions)
 		return nil, err
 	}
 	est := newAdaptiveEstimator(g, opt, eps, delta)
-	return est.run(ctx)
+	return est.run(func(from, to int) error { return est.sampleRange(ctx, from, to) })
 }
 
 // adaptiveEstimator owns one adaptive run's sampling state.
@@ -174,9 +174,8 @@ type adaptiveEstimator struct {
 	eps, delta float64
 	seed       int64
 	topK       int
-	lnB        float64 // ln(3/δ′), the empirical-Bernstein log term
-	lnH        float64 // ln(2/δ′), the Hoeffding log term
-	tMax       int     // worst-case sample cap: Hoeffding radius ≤ ε
+	lnL        float64 // ln(2/δ′), the Chernoff–KL log term
+	tMax       int     // worst-case sample cap: every vertex passes at tMax
 	counts     []int64 // per-vertex interior-hit counts over all samples
 	ws         []*pairWorkspace
 	errs       []error
@@ -184,9 +183,6 @@ type adaptiveEstimator struct {
 
 func newAdaptiveEstimator(g *graph.Graph, opt ApproxOptions, eps, delta float64) *adaptiveEstimator {
 	n := g.NumVertices()
-	// δ′ union-bounds the failure budget over every per-vertex check in
-	// every possible round.
-	checks := float64(adaptiveMaxRounds) * float64(n)
 	est := &adaptiveEstimator{
 		g:     g,
 		n:     n,
@@ -194,13 +190,8 @@ func newAdaptiveEstimator(g *graph.Graph, opt ApproxOptions, eps, delta float64)
 		delta: delta,
 		seed:  opt.Seed,
 		topK:  opt.TopK,
-		lnB:   math.Log(3 * checks / delta),
-		lnH:   math.Log(2 * checks / delta),
 	}
-	est.tMax = int(math.Ceil(est.lnH / (2 * eps * eps)))
-	if est.tMax < 1 {
-		est.tMax = 1
-	}
+	est.tMax, est.lnL = adaptiveCap(n, eps, delta)
 	workers := opt.Concurrency
 	if workers <= 0 {
 		workers = par.Workers()
@@ -214,30 +205,50 @@ func newAdaptiveEstimator(g *graph.Graph, opt ApproxOptions, eps, delta float64)
 	return est
 }
 
-func (est *adaptiveEstimator) run(ctx context.Context) (*ApproxResult, error) {
-	t := 0
-	rounds := 0
-	stopped := false
-	for rounds < adaptiveMaxRounds {
-		target := t * 2
-		if t == 0 {
-			target = adaptiveFirstRound
+// nextTarget is the cumulative sample count of the round after one that
+// ended at t: adaptiveFirstRound, then a quarter more each round, capped
+// at tMax.
+func nextTarget(t, tMax int) int {
+	if t == 0 {
+		return min(adaptiveFirstRound, tMax)
+	}
+	return min(t+(t+3)/4, tMax)
+}
+
+// adaptiveCap returns the worst-case sample cap tMax = ⌈L/2ε²⌉ and L =
+// ln(2/δ′) with δ′ = δ/(R·n), where R counts the rounds nextTarget makes
+// up to tMax: each of the R·n (round, vertex) checks misses on either
+// side with probability at most e^−L = δ′/2, so all of them together
+// spend δ. R and tMax depend on each other through L, and any R at least
+// the real count is valid; R climbs from 1 to the least that covers its
+// own cap's rounds (each step raises L, so tMax, so the count).
+func adaptiveCap(n int, eps, delta float64) (tMax int, lnL float64) {
+	for r := 1; ; {
+		lnL = math.Log(2 * float64(r) * float64(n) / delta)
+		tMax = int(math.Ceil(lnL / (2 * eps * eps)))
+		rounds := 0
+		for t := 0; t < tMax; t = nextTarget(t, tMax) {
+			rounds++
 		}
-		if target > est.tMax {
-			target = est.tMax
+		if rounds <= r {
+			return tMax, lnL
 		}
-		if err := est.sampleRange(ctx, t, target); err != nil {
+		r = rounds
+	}
+}
+
+// run draws rounds through sample, which must add samples [from, to) to
+// est.counts, until the stopping rule fires or the cap is reached.
+func (est *adaptiveEstimator) run(sample func(from, to int) error) (*ApproxResult, error) {
+	t, rounds := 0, 0
+	for t < est.tMax {
+		target := nextTarget(t, est.tMax)
+		if err := sample(t, target); err != nil {
 			return nil, err
 		}
 		t = target
 		rounds++
 		if est.converged(t) {
-			stopped = t < est.tMax
-			break
-		}
-		if t >= est.tMax {
-			// Unreachable: at tMax the Hoeffding radius is ≤ ε, so
-			// converged fired above; kept as a loop-termination backstop.
 			break
 		}
 	}
@@ -250,7 +261,7 @@ func (est *adaptiveEstimator) run(ctx context.Context) (*ApproxResult, error) {
 		Result: Result{Scores: scores},
 		Guarantee: Guarantee{
 			Epsilon: est.eps, Delta: est.delta,
-			SamplesUsed: t, Rounds: rounds, Stopped: stopped,
+			SamplesUsed: t, Rounds: rounds, Stopped: t < est.tMax,
 		},
 	}, nil
 }
@@ -303,56 +314,102 @@ func (est *adaptiveEstimator) samplePair(ws *pairWorkspace, i int64) {
 	bidirSample(est.g, ws, s, t, &rng)
 }
 
-// converged evaluates the stopping rule at t cumulative samples.
-func (est *adaptiveEstimator) converged(t int) bool {
+// klDev is KL(p‖p+d), the divergence of Bernoulli(p+d) from
+// Bernoulli(p), for p in [0,1] and p+d in [0,1] (+Inf at p+d = 0 or 1
+// unless p is there too). The log1p form keeps it accurate when d is
+// small beside p and 1−p, where the two terms nearly cancel.
+func klDev(p, d float64) float64 {
+	var kl float64
+	if p > 0 {
+		kl -= p * math.Log1p(d/p)
+	}
+	if p < 1 {
+		kl -= (1 - p) * math.Log1p(-d/(1-p))
+	}
+	return kl
+}
+
+// klPasses reports whether the Chernoff–KL interval of count c in t
+// samples lies within ε of p̂ = c/t on both sides: t·KL(p̂‖q) ≥ L at
+// q = p̂±ε, unless q leaves [0,1].
+func klPasses(c int64, t int, eps, lnL float64) bool {
 	tf := float64(t)
-	radH := math.Sqrt(est.lnH / (2 * tf))
-	if radH <= est.eps {
-		return true
+	p := float64(c) / tf
+	return (p+eps >= 1 || tf*klDev(p, eps) >= lnL) &&
+		(p-eps <= 0 || tf*klDev(p, -eps) >= lnL)
+}
+
+// klBounds returns the Chernoff–KL interval of count c in t samples, the
+// q with t·KL(p̂‖q) ≤ L, each end found by bisection and reported at its
+// outer bracket so the interval never shrinks past the exact one.
+func klBounds(c int64, t int, lnL float64) (lo, hi float64) {
+	tf := float64(t)
+	p := float64(c) / tf
+	end := func(out float64) float64 {
+		in := p // inside; out is outside, or p itself at an end of [0,1]
+		for {
+			mid := (in + out) / 2
+			if mid == in || mid == out {
+				return out
+			}
+			if tf*klDev(p, mid-p) <= lnL {
+				in = mid
+			} else {
+				out = mid
+			}
+		}
 	}
+	return end(0), end(1)
+}
+
+// converged evaluates the stopping rule at t cumulative samples. Counts
+// repeat heavily (most vertices of a skewed graph share a few small
+// ones), so each distinct count is checked once.
+func (est *adaptiveEstimator) converged(t int) bool {
 	if est.topK > 0 {
-		return est.convergedTopK(tf, radH)
+		return est.convergedTopK(t)
 	}
-	// radH > ε here, so min(radB, radH) ≤ ε reduces to radB ≤ ε.
+	passed := make([]bool, t+1) // by count; a count never exceeds t
 	for _, c := range est.counts {
-		p := float64(c) / tf
-		radB := math.Sqrt(2*p*(1-p)*est.lnB/tf) + 3*est.lnB/tf
-		if radB > est.eps {
-			return false
+		if !passed[c] {
+			if !klPasses(c, t, est.eps, est.lnL) {
+				return false
+			}
+			passed[c] = true
 		}
 	}
 	return true
 }
 
 // convergedTopK is the relaxed rule for ranked queries: stop when every
-// vertex either has radius ≤ ε or provably cannot belong to the top-k set
-// (its upper bound lies below the k-th largest lower bound, so at least k
-// vertices beat it with the run's confidence).
-func (est *adaptiveEstimator) convergedTopK(tf, radH float64) bool {
-	k := min(est.topK, est.n)
-	rad := func(c int64) float64 {
-		p := float64(c) / tf
-		radB := math.Sqrt(2*p*(1-p)*est.lnB/tf) + 3*est.lnB/tf
-		if radB < radH {
-			return radB
-		}
-		return radH
+// vertex either passes or provably cannot belong to the top-k set (its
+// interval's upper end lies below the k-th largest lower end, so at least
+// k vertices beat it with the run's confidence).
+func (est *adaptiveEstimator) convergedTopK(t int) bool {
+	type interval struct {
+		lo, hi float64
+		pass   bool
 	}
-	// k-th largest lower bound.
+	memo := make(map[int64]interval)
+	at := func(c int64) interval {
+		iv, ok := memo[c]
+		if !ok {
+			iv.lo, iv.hi = klBounds(c, t, est.lnL)
+			iv.pass = klPasses(c, t, est.eps, est.lnL)
+			memo[c] = iv
+		}
+		return iv
+	}
+	k := min(est.topK, est.n)
 	lbs := make([]float64, est.n)
 	for v, c := range est.counts {
-		lbs[v] = float64(c)/tf - rad(c)
+		lbs[v] = at(c).lo
 	}
 	lbK := lbs[rank.Top(lbs, k)[k-1]]
 	for _, c := range est.counts {
-		r := rad(c)
-		if r <= est.eps {
-			continue
+		if iv := at(c); !iv.pass && iv.hi >= lbK {
+			return false
 		}
-		if float64(c)/tf+r < lbK {
-			continue // certified outside the top-k set
-		}
-		return false
 	}
 	return true
 }

@@ -88,18 +88,12 @@ func planFold(g *graph.Graph, sources []int32) *fold {
 
 	keep := make([]bool, n)
 	par.For(n, func(v int) { keep[v] = parentOf(g, int32(v)) < 0 })
-	core, kept := g.InducedArcs(keep)
 	// Hubs first: the core is swept in degree-descending order, so the
 	// per-vertex reads of its hub rows share a few cache lines instead of
 	// following the input's first-seen order (DESIGN §6.6).
-	core, origID, err := core.Relabel(graph.DegreePerm(core))
-	if err != nil {
-		panic("bc: " + err.Error()) // unreachable: DegreePerm is a permutation
-	}
-	par.For(len(origID), func(c int) {
-		origID[c] = kept[origID[c]]
-		at[origID[c]] = int32(c) // at now renames core vertices: core id, by g id
-	})
+	core, origID := g.InducedArcsByDegree(keep)
+	// at now renames core vertices: core id, by g id.
+	par.For(len(origID), func(c int) { at[origID[c]] = int32(c) })
 	pend := make([]float64, len(origID))
 	for v := int32(0); int(v) < n; v++ {
 		if p := parentOf(g, v); p >= 0 {

@@ -129,6 +129,69 @@ func TestFoldMatchesOracle(t *testing.T) {
 	}
 }
 
+// twoPassCore is the core planFold built before it renamed in one pass:
+// InducedArcs in g's id order, then Relabel(DegreePerm), with origID and
+// pend carried through the renaming.
+func twoPassCore(t *testing.T, g *graph.Graph) (core *graph.Graph, origID []int32, pend []float64) {
+	n := g.NumVertices()
+	keep := make([]bool, n)
+	for v := range keep {
+		keep[v] = parentOf(g, int32(v)) < 0
+	}
+	core, kept := g.InducedArcs(keep)
+	core, inv, err := core.Relabel(graph.DegreePerm(core))
+	if err != nil {
+		t.Fatal(err)
+	}
+	origID = make([]int32, len(inv))
+	coreID := make([]int32, n)
+	for c, k := range inv {
+		origID[c] = kept[k]
+		coreID[kept[k]] = int32(c)
+	}
+	pend = make([]float64, len(origID))
+	for v := int32(0); int(v) < n; v++ {
+		if p := parentOf(g, v); p >= 0 {
+			pend[coreID[p]]++
+		}
+	}
+	return core, origID, pend
+}
+
+// TestFoldCoreMatchesTwoPassBuild holds planFold's one-pass core to the
+// two-pass build, with ==: the CSR arrays, origID and pend, on the
+// adversarial shapes, the fold shapes and the Sept-1 ×0.01 component.
+func TestFoldCoreMatchesTwoPassBuild(t *testing.T) {
+	forceFold(t)
+	graphs := adversarialShapes(t)
+	for name, g := range foldShapes(t) {
+		graphs["fold/"+name] = g
+	}
+	graphs["sept-0.01"] = septComponent(0.01)
+	for name, g := range graphs {
+		if g.Directed() {
+			g = g.Undirected()
+		}
+		f := planFold(g, sampleSources(g.NumVertices(), 0, 0))
+		if f == nil {
+			if pendants(g) > 0 {
+				t.Fatalf("%s: forced fold declined", name)
+			}
+			continue
+		}
+		core, origID, pend := twoPassCore(t, g)
+		if !slices.Equal(f.core.RowPtr(), core.RowPtr()) || !slices.Equal(f.core.AdjArray(), core.AdjArray()) {
+			t.Errorf("%s: core CSR differs from the two-pass build", name)
+		}
+		if f.core.Directed() != core.Directed() || f.core.Weighted() != core.Weighted() {
+			t.Errorf("%s: core directed %v weighted %v, want %v and %v", name, f.core.Directed(), f.core.Weighted(), core.Directed(), core.Weighted())
+		}
+		if !slices.Equal(f.origID, origID) || !slices.Equal(f.pend, pend) {
+			t.Errorf("%s: origID or pend differs from the two-pass build", name)
+		}
+	}
+}
+
 // TestFoldCorners pins the pendant rule on the shapes built for it.
 func TestFoldCorners(t *testing.T) {
 	shapes := foldShapes(t)

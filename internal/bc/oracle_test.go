@@ -979,37 +979,109 @@ func oracleSampleStep(est *adaptiveEstimator, pw *oraclePairs) func(i int64) {
 }
 
 // oracleApprox is ApproxCentrality run serially on the oracle sampler:
-// the same rounds, stopping rule and scaling as adaptiveEstimator.run.
+// the same rounds, stopping rule and scaling, through adaptiveEstimator.run.
 func oracleApprox(g *graph.Graph, opt ApproxOptions) *ApproxResult {
 	est := newAdaptiveEstimator(g, opt, opt.Epsilon, opt.Delta)
 	pw := newOraclePairs(est.n)
 	step := oracleSampleStep(est, pw)
-	t, rounds, stopped := 0, 0, false
-	for rounds < adaptiveMaxRounds {
-		target := min(max(2*t, adaptiveFirstRound), est.tMax)
-		for i := t; i < target; i++ {
+	res, err := est.run(func(from, to int) error {
+		for i := from; i < to; i++ {
 			step(int64(i))
 		}
 		copy(est.counts, pw.counts)
-		t = target
-		rounds++
-		if est.converged(t) {
-			stopped = t < est.tMax
-			break
+		return nil
+	})
+	if err != nil {
+		panic(err) // unreachable: the oracle's sample step returns no error
+	}
+	return res
+}
+
+// retiredPasses is the stopping check the Chernoff–KL rule replaced, at
+// t samples and per-check failure budget δ′: the smaller of the
+// empirical-Bernstein radius √(2p̂(1−p̂)·ln(3/δ′)/t) + 3·ln(3/δ′)/t and
+// the Hoeffding radius √(ln(2/δ′)/2t) must be at most ε.
+func retiredPasses(c int64, t int, eps, deltaPrime float64) bool {
+	tf := float64(t)
+	p := float64(c) / tf
+	lnB, lnH := math.Log(3/deltaPrime), math.Log(2/deltaPrime)
+	radB := math.Sqrt(2*p*(1-p)*lnB/tf) + 3*lnB/tf
+	radH := math.Sqrt(lnH / (2 * tf))
+	return min(radB, radH) <= eps
+}
+
+// requireKLRuleCovers checks one point of the rule's contract: wherever
+// the retired check passes at the same t and δ′, the KL check passes,
+// and at t ≥ ⌈L/2ε²⌉ it passes whatever the count.
+func requireKLRuleCovers(t *testing.T, c int64, tn int, eps, deltaPrime float64) {
+	t.Helper()
+	lnL := math.Log(2 / deltaPrime)
+	got := klPasses(c, tn, eps, lnL)
+	if !got && retiredPasses(c, tn, eps, deltaPrime) {
+		t.Fatalf("c=%d t=%d eps=%v δ′=%v: the retired check passes, the KL check does not", c, tn, eps, deltaPrime)
+	}
+	if tMax := int(math.Ceil(lnL / (2 * eps * eps))); !got && tn >= tMax {
+		t.Fatalf("c=%d t=%d eps=%v δ′=%v: the KL check fails at t ≥ tMax = %d", c, tn, eps, deltaPrime, tMax)
+	}
+}
+
+// TestKLRuleFiresWhenRetiredRuleFires holds the KL check to the one it
+// replaced on a grid of (c, t, ε, δ′): counts near 0, near t/2 and near
+// t, and every count at the tMax those ε and δ′ give.
+func TestKLRuleFiresWhenRetiredRuleFires(t *testing.T) {
+	points := 0
+	for _, eps := range []float64{0.002, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.45} {
+		for _, deltaPrime := range []float64{1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.05} {
+			lnL := math.Log(2 / deltaPrime)
+			tMax := int(math.Ceil(lnL / (2 * eps * eps)))
+			ts := []int{1, 2, 7, 64, 256, 320, 1000, 3328, 4352, 9728, 16384, tMax - 1, tMax, tMax + 1}
+			for _, tn := range ts {
+				if tn < 1 {
+					continue
+				}
+				cs := []int64{0, 1, 2, 3, 5, 8, 13, int64(tn / 100), int64(tn / 10), int64(tn / 3), int64(tn / 2)}
+				for i := range 40 {
+					cs = append(cs, int64(tn)*int64(i)/39)
+				}
+				if tn >= tMax && tn <= 50000 {
+					cs = cs[:0]
+					for c := range int64(tn + 1) {
+						cs = append(cs, c)
+					}
+				}
+				for _, c := range cs {
+					for _, cc := range []int64{c, int64(tn) - c} {
+						if cc < 0 || cc > int64(tn) {
+							continue
+						}
+						requireKLRuleCovers(t, cc, tn, eps, deltaPrime)
+						points++
+					}
+				}
+			}
 		}
 	}
-	scores := make([]float64, est.n)
-	scale := float64(est.n) * float64(est.n-1) / float64(t)
-	for v, c := range est.counts {
-		scores[v] = float64(c) * scale
-	}
-	return &ApproxResult{
-		Result: Result{Scores: scores},
-		Guarantee: Guarantee{
-			Epsilon: est.eps, Delta: est.delta,
-			SamplesUsed: t, Rounds: rounds, Stopped: stopped,
-		},
-	}
+	t.Logf("%d points", points)
+}
+
+// FuzzKLRule is TestKLRuleFiresWhenRetiredRuleFires on fuzzed points:
+// the bytes become t in [1, 2²⁰], c ≤ t, ε in [0.001, 0.5] and δ′ in
+// [10⁻¹⁵, 0.5].
+func FuzzKLRule(f *testing.F) {
+	f.Add(uint32(16384), uint32(0), uint16(9000), uint16(30000))
+	f.Add(uint32(3328), uint32(1664), uint16(500), uint16(100))
+	f.Add(uint32(77362), uint32(38681), uint16(600), uint16(65535))
+	f.Fuzz(func(t *testing.T, tb, cb uint32, eb, db uint16) {
+		tn := int(tb%(1<<20)) + 1
+		c := int64(cb) % int64(tn+1)
+		eps := 0.001 + 0.499*float64(eb)/65535
+		deltaPrime := math.Pow(10, -15+14.7*float64(db)/65535)
+		requireKLRuleCovers(t, c, tn, eps, deltaPrime)
+		// The same ε and δ′ at their own cap, for this count's share.
+		lnL := math.Log(2 / deltaPrime)
+		tMax := int(math.Ceil(lnL / (2 * eps * eps)))
+		requireKLRuleCovers(t, int64(float64(c)/float64(tn)*float64(tMax)), tMax, eps, deltaPrime)
+	})
 }
 
 // TestBidirSampleMatchesOracle holds the sampler to the one it replaced,

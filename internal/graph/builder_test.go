@@ -334,6 +334,18 @@ func checkTransforms(t *testing.T, what string, g *Graph) {
 		}
 	})
 	sameCSR(t, what+" InducedArcs spec", arcs, specGraph(int(m), all, g.directed, false), true)
+	// InducedArcsByDegree is InducedArcs renamed by its own DegreePerm.
+	byDeg, dorig := g.InducedArcsByDegree(keep)
+	relabeled, inv, err := arcs.Relabel(DegreePerm(arcs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, k := range inv {
+		if dorig[c] != aorig[k] {
+			t.Fatalf("%s InducedArcsByDegree: origID[%d] = %d, want %d", what, c, dorig[c], aorig[k])
+		}
+	}
+	sameCSR(t, what+" InducedArcsByDegree", byDeg, relabeled, true)
 
 	sameCSR(t, what+" ReciprocalCore", g.ReciprocalCore(), oracleReciprocalCore(g), true)
 	live := make([]bool, n)

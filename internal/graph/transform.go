@@ -1,6 +1,10 @@
 package graph
 
-import "graphct/internal/par"
+import (
+	"slices"
+
+	"graphct/internal/par"
+)
 
 // Undirected returns the undirected view of g: every arc u->v becomes edge
 // {u,v}, duplicates merged. The GraphCT utility "convert a directed graph to
@@ -64,6 +68,74 @@ func (g *Graph) Induced(keep []bool) (*Graph, []int32) {
 // re-validation.
 func (g *Graph) InducedArcs(keep []bool) (*Graph, []int32) {
 	return g.induced(keep, false, false)
+}
+
+// InducedArcsByDegree is InducedArcs with the kept vertices renamed in
+// degree-descending order of the subgraph, ties by id, as
+// Relabel(DegreePerm(sub)) would rename them; origID[new] is the vertex
+// id in g. It is built in one pass, without the intermediate subgraph: a
+// count pass gives each kept vertex's degree in the subgraph, a stable
+// counting sort the order, and each row is written once through it and
+// sorted.
+func (g *Graph) InducedArcsByDegree(keep []bool) (*Graph, []int32) {
+	n := g.NumVertices()
+	deg := make([]int32, n)
+	par.ForChunked(n, 0, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			if keep[v] {
+				var d int32
+				for _, w := range g.Neighbors(int32(v)) {
+					if keep[w] {
+						d++
+					}
+				}
+				deg[v] = d
+			}
+		}
+	})
+	// DegreePerm's counting sort over the kept vertices: next[d] starts
+	// at the number of kept vertices of degree > d. A vertex's degree in
+	// the subgraph is at most its degree in g.
+	next := make([]int32, g.MaxDegree()+1)
+	var m int32
+	for v, d := range deg {
+		if keep[v] {
+			next[d]++
+			m++
+		}
+	}
+	var sum int32
+	for d := len(next) - 1; d >= 0; d-- {
+		next[d], sum = sum, sum+next[d]
+	}
+	newID := make([]int32, n)
+	origID := make([]int32, m)
+	for v, d := range deg {
+		if keep[v] {
+			newID[v] = next[d]
+			origID[next[d]] = int32(v)
+			next[d]++
+		} else {
+			newID[v] = -1
+		}
+	}
+	rowPtr := make([]int64, m+1)
+	for c, v := range origID {
+		rowPtr[c+1] = rowPtr[c] + int64(deg[v])
+	}
+	adj := make([]int32, rowPtr[m])
+	par.ForChunked(int(m), 0, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			row := adj[rowPtr[c]:rowPtr[c]:rowPtr[c+1]]
+			for _, w := range g.Neighbors(origID[c]) {
+				if nw := newID[w]; nw >= 0 {
+					row = append(row, nw)
+				}
+			}
+			slices.Sort(row)
+		}
+	})
+	return &Graph{rowPtr: rowPtr, adj: adj, directed: g.directed}, origID
 }
 
 func (g *Graph) induced(keep []bool, keepWeights, collapse bool) (*Graph, []int32) {

@@ -22,12 +22,21 @@ import (
 // wants the top 10 of a multi-million-vertex graph.
 func Top[T cmp.Ordered](scores []T, k int) []int32 {
 	k = max(0, min(k, len(scores)))
-	// worse orders by eviction priority: lowest score first (cmp.Compare
-	// puts NaN below every number), highest index first among ties, so
-	// the heap root is always the candidate to drop.
+	// worse orders by eviction priority: lowest score first, NaN below
+	// every number, highest index first among ties (NaNs tie with each
+	// other), so the heap root is always the candidate to drop. Two plain
+	// comparisons settle every pair of distinct numbers; only when
+	// neither holds is a NaN possible.
 	worse := func(a, b int32) bool {
-		if c := cmp.Compare(scores[a], scores[b]); c != 0 {
-			return c < 0
+		x, y := scores[a], scores[b]
+		if x < y {
+			return true
+		}
+		if y < x {
+			return false
+		}
+		if xNaN, yNaN := x != x, y != y; xNaN != yNaN {
+			return xNaN
 		}
 		return a > b
 	}

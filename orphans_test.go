@@ -24,6 +24,7 @@ var orphanAllowlist = map[string]string{
 	"internal/gen.PreferentialAttachment":   "test fixture: heavy-tailed graph for oracle checks",
 	"internal/gen.Star":                     "test fixture: star with closed-form scores",
 	"internal/sssp.Dijkstra":                "test oracle: reference for delta-stepping",
+	"internal/graph.Graph.InducedArcs":      "test oracle: first pass of the two-pass core build InducedArcsByDegree replaced",
 	"internal/cluster.Triangles":            "test oracle: per-vertex counts the recovery and soak tests compare",
 	"internal/testutil.AlmostEqual":         "test harness: the repo's one float tolerance",
 	"internal/testutil.CheckGoroutines":     "test harness: leak check after server tests",
